@@ -39,7 +39,7 @@
 //   --join-every K      every K-th job is an equi-join (0 = off,
 //                       default 64)
 //   --policy P          adaptive|cpu|fpga|round-robin (default adaptive)
-//   --sim_mode M        reference|fast|analytical     (default fast)
+//   --sim_mode M        reference|fast                (default fast)
 //   --sim_cache B       1 = memoize device run results (default 0)
 #include <algorithm>
 #include <array>
@@ -492,8 +492,7 @@ int main(int argc, char** argv) {
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_mode", &v)) {
       if (!fpart::ParseSimMode(v, &opt.sim_mode)) {
-        std::fprintf(stderr,
-                     "--sim_mode must be reference|fast|analytical\n");
+        std::fprintf(stderr, "--sim_mode must be reference|fast\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache", &v)) {

@@ -36,7 +36,7 @@
 //                      `fpga` pins every job to the device pool — the
 //                      device-bound load that shows pool throughput
 //                      scaling with --fpga_devices
-//   --sim_mode M       reference|fast|analytical simulator backend for
+//   --sim_mode M       reference|fast simulator backend for
 //                      every device run (default fast)
 //   --sim_cache B      1 = memoize device run results keyed by
 //                      config+input digest (default 0)
@@ -45,9 +45,6 @@
 //                      measured throughput sees a hot sim cache instead
 //                      of the cold first-run cost per shape (requires
 //                      --sim_cache 1; default 0)
-//   --xcheck F         analytical only: fraction of device runs
-//                      re-executed on the fast engine to cross-check
-//                      outputs and predicted cycles (default 0)
 //   --affinity P       none|compact|scatter|numa-local worker pinning
 //                      (default: FPART_AFFINITY or none). Pinning changes
 //                      only where threads run — the deterministic replay
@@ -106,7 +103,6 @@ struct Options {
   SimMode sim_mode = SimMode::kFast;
   bool sim_cache = false;
   bool sim_cache_warmup = false;
-  double xcheck = 0.0;
   AffinityPolicy affinity = AffinityPolicyFromEnv();
   bool admission = false;
   std::array<double, svc::kNumJobClasses> slo_seconds = {0.5, 2.0, 8.0};
@@ -222,7 +218,6 @@ int Run(const Options& opt) {
         req.output_mode = OutputMode::kHist;
         req.sim_mode = opt.sim_mode;
         req.sim_cache = opt.sim_cache;
-        req.xcheck = opt.xcheck;
         auto r = RunPartition<Tuple8>(req, tables[c]);
         if (!r.ok()) {
           std::fprintf(stderr, "warmup partition failed: %s\n",
@@ -240,7 +235,6 @@ int Run(const Options& opt) {
         fpga.link = LinkKind::kXeonFpga;
         fpga.sim_mode = opt.sim_mode;
         fpga.sim_cache = opt.sim_cache;
-        fpga.xcheck = opt.xcheck;
         for (const Relation<Tuple8>* side : {&join_r[c], &join_s[c]}) {
           auto r = internal::HybridPartition(fpga, *side);
           if (!r.ok()) {
@@ -268,7 +262,6 @@ int Run(const Options& opt) {
       opt.queue > 0 ? opt.queue : (opt.deterministic ? opt.jobs : 256);
   config.sim_mode = opt.sim_mode;
   config.sim_cache = opt.sim_cache;
-  config.xcheck = opt.xcheck;
   config.affinity = opt.affinity;
   config.name = "svc";
   config.slo.enabled = opt.admission;
@@ -341,7 +334,6 @@ int Run(const Options& opt) {
           spec.request.output_mode = OutputMode::kHist;
           spec.request.sim_mode = opt.sim_mode;
           spec.request.sim_cache = opt.sim_cache;
-          spec.request.xcheck = opt.xcheck;
           return scheduler.Submit(spec, jopts);
         }();
         if (handle.ok()) {
@@ -500,7 +492,6 @@ int Run(const Options& opt) {
   report.ConfigUInt("sim_cache", opt.sim_cache ? 1 : 0);
   report.ConfigUInt("sim_cache_warmup",
                     (opt.sim_cache_warmup && opt.sim_cache) ? 1 : 0);
-  report.ConfigDouble("xcheck", opt.xcheck);
   report.ConfigStr("affinity", AffinityPolicyName(opt.affinity));
   report.ConfigUInt("admission", opt.admission ? 1 : 0);
   {
@@ -732,8 +723,7 @@ int main(int argc, char** argv) {
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_mode", &v)) {
       if (!fpart::ParseSimMode(v, &opt.sim_mode)) {
-        std::fprintf(stderr,
-                     "--sim_mode must be reference|fast|analytical\n");
+        std::fprintf(stderr, "--sim_mode must be reference|fast\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache_warmup", &v)) {
@@ -744,12 +734,6 @@ int main(int argc, char** argv) {
       if (!fpart::ParseAffinityPolicy(v, &opt.affinity)) {
         std::fprintf(stderr,
                      "--affinity must be none|compact|scatter|numa-local\n");
-        return 2;
-      }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--xcheck", &v)) {
-      opt.xcheck = std::strtod(v.c_str(), nullptr);
-      if (opt.xcheck < 0.0 || opt.xcheck > 1.0) {
-        std::fprintf(stderr, "--xcheck must be in [0, 1]\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--admission", &v)) {

@@ -52,8 +52,6 @@
 //                        default 64)
 //   --windows N          read-latency time buckets     (default 20)
 //   --drain-engine E     cpu|fpga                      (default cpu)
-//   --sim_mode M         reference|fast|analytical (FPGA drains;
-//                        default analytical)
 //   --sim_cache B        memoize FPGA drain runs       (default 1)
 #include <algorithm>
 #include <atomic>
@@ -106,7 +104,6 @@ struct Options {
   uint64_t foreground_every = 64;
   size_t windows = 20;
   Engine drain_engine = Engine::kCpu;
-  SimMode sim_mode = SimMode::kAnalytical;
   bool sim_cache = true;
 };
 
@@ -232,7 +229,6 @@ int Run(const Options& opt) {
   store_cfg.initial_depth = opt.initial_depth;
   store_cfg.max_depth = opt.max_depth;
   store_cfg.drain_engine = opt.drain_engine;
-  store_cfg.sim_mode = opt.sim_mode;
   store_cfg.sim_cache = opt.sim_cache;
   store_cfg.buffer_tuples = buffer;
   stream::StreamStore store(store_cfg);
@@ -242,7 +238,6 @@ int Run(const Options& opt) {
   sched_cfg.deterministic = opt.deterministic;
   sched_cfg.queue_capacity =
       opt.queue > 0 ? opt.queue : (opt.deterministic ? opt.ops + 16 : 1024);
-  sched_cfg.sim_mode = opt.sim_mode;
   sched_cfg.sim_cache = opt.sim_cache;
   sched_cfg.name = "stream";
   svc::Scheduler scheduler(sched_cfg);
@@ -472,7 +467,6 @@ int Run(const Options& opt) {
   report.ConfigUInt("windows", opt.windows);
   report.ConfigStr("drain_engine",
                    opt.drain_engine == Engine::kCpu ? "cpu" : "fpga");
-  report.ConfigStr("sim_mode", SimModeName(opt.sim_mode));
   report.ConfigUInt("sim_cache", opt.sim_cache ? 1 : 0);
   report.ConfigDouble("scale", scale);
 
@@ -653,12 +647,6 @@ int main(int argc, char** argv) {
         opt.drain_engine = fpart::Engine::kFpgaSim;
       } else {
         std::fprintf(stderr, "--drain-engine must be cpu|fpga\n");
-        return 2;
-      }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--sim_mode", &v)) {
-      if (!fpart::ParseSimMode(v, &opt.sim_mode)) {
-        std::fprintf(stderr,
-                     "--sim_mode must be reference|fast|analytical\n");
         return 2;
       }
     } else if (fpart::ParseFlag(argc, argv, &i, "--sim_cache", &v)) {

@@ -113,16 +113,14 @@ int JsonMain(size_t n) {
   // three runs, which filters scheduler noise without favouring either
   // engine (both see the same machine conditions).
   constexpr int kRuns = 3;
-  double ref_host = 0, fast_host = 0, ana_host = 0;
-  FpgaRunResult<Tuple8> ref, fast, ana;
+  double ref_host = 0, fast_host = 0;
+  FpgaRunResult<Tuple8> ref, fast;
   for (int r = 0; r < kRuns; ++r) {
-    double rh = 0, fh = 0, ah = 0;
+    double rh = 0, fh = 0;
     if (RunEngine(tuples, SimMode::kReference, &rh, &ref) != 0) return 1;
     if (RunEngine(tuples, SimMode::kFast, &fh, &fast) != 0) return 1;
-    if (RunEngine(tuples, SimMode::kAnalytical, &ah, &ana) != 0) return 1;
     if (r == 0 || rh < ref_host) ref_host = rh;
     if (r == 0 || fh < fast_host) fast_host = fh;
-    if (r == 0 || ah < ana_host) ana_host = ah;
   }
 
   if (ref.stats.cycles != fast.stats.cycles) {
@@ -131,20 +129,6 @@ int JsonMain(size_t n) {
                  static_cast<unsigned long long>(fast.stats.cycles));
     return 1;
   }
-  // The analytical engine predicts its cycles (no equality assert), but
-  // output bytes must stay identical to the cycle engines.
-  if (ana.output.total_cls() != fast.output.total_cls() ||
-      std::memcmp(ana.output.line(0), fast.output.line(0),
-                  fast.output.total_cls() * kCacheLineSize) != 0) {
-    std::fprintf(stderr, "analytical output bytes diverged from fast\n");
-    return 1;
-  }
-  const double cycle_error =
-      fast.stats.cycles > 0
-          ? (static_cast<double>(ana.stats.cycles) -
-             static_cast<double>(fast.stats.cycles)) /
-                static_cast<double>(fast.stats.cycles)
-          : 0.0;
 
   auto cycles_per_sec = [](uint64_t cycles, double seconds) {
     return seconds > 0 ? cycles / seconds : 0.0;
@@ -167,20 +151,8 @@ int JsonMain(size_t n) {
                 {{"host_seconds", fast_host},
                  {"sim_cycles_per_sec",
                   cycles_per_sec(fast.stats.cycles, fast_host)}});
-  // The analytical column rates the engine in *replaced* simulated cycles
-  // per host second (the fast engine's exact cycle count over the
-  // analytical wall time), since its own cycle counter is a prediction.
-  report.Result("analytical_engine",
-                {{"host_seconds", ana_host},
-                 {"sim_cycles_per_sec",
-                  cycles_per_sec(fast.stats.cycles, ana_host)},
-                 {"predicted_cycles",
-                  static_cast<double>(ana.stats.cycles)},
-                 {"cycle_error_pct", cycle_error * 100.0}});
   report.ResultDouble("speedup",
                       fast_host > 0 ? ref_host / fast_host : 0.0);
-  report.ResultDouble("speedup_analytical",
-                      ana_host > 0 ? fast_host / ana_host : 0.0);
   report.Print();
   return 0;
 }

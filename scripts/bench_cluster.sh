@@ -11,7 +11,7 @@
 #                             migration — the tail-latency comparison
 # Flatten with scripts/bench_to_csv.py (it unpacks wrapper objects).
 # Usage: scripts/bench_cluster.sh [build_dir] [jobs] [extra flags...]
-# e.g. scripts/bench_cluster.sh build 4000 --sim_mode analytical --sim_cache 1
+# e.g. scripts/bench_cluster.sh build 4000 --sim_cache 1
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)

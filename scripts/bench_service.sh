@@ -6,8 +6,8 @@
 # per configuration (docs/observability.md):
 #   base                  the historical default run ([jobs] [clients]
 #                         [devices] and any extra flags)
-#   sat_r<rate>_q<queue>  100k-job saturation sweep on the analytical
-#                         simulator with memoized device runs: offered
+#   sat_r<rate>_q<queue>  100k-job saturation sweep with memoized
+#                         (warmed sim cache) device runs: offered
 #                         load (virtual arrivals/s) x admission bound.
 #                         The shed/completed split and the per-class p99s
 #                         show where admission control starts paying.
@@ -24,7 +24,7 @@
 # Usage: scripts/bench_service.sh [build_dir] [jobs] [clients] [devices]
 #                                 [extra ext_service flags...]
 # e.g. scripts/bench_service.sh build 10000 8 2 \
-#        --sim_mode analytical --sim_cache 1 --xcheck 0.01
+#        --sim_cache 1 --sim_cache_warmup 1
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
@@ -48,15 +48,15 @@ trap 'rm -rf "$tmp"' EXIT
 "$build_dir/bench/ext_service" --json --jobs "$jobs" --clients "$clients" \
   --fpga_devices "$devices" "$@" > "$tmp/base.json"
 
-# Saturation sweep: 100k jobs per cell is cheap on the analytical backend
-# with the sim cache warmed — the device runs memoize per job shape.
+# Saturation sweep: 100k jobs per cell is cheap with the sim cache warmed
+# — the device runs memoize per job shape.
 sat_jobs=100000
 sweep_keys=""
 for rate in 4000 16000 64000; do
   for queue in 256 8192; do
     "$build_dir/bench/ext_service" --json --jobs "$sat_jobs" \
       --clients "$clients" --fpga_devices 2 \
-      --sim_mode analytical --sim_cache 1 --sim_cache_warmup 1 \
+      --sim_cache 1 --sim_cache_warmup 1 \
       --rate "$rate" --queue "$queue" "$@" \
       > "$tmp/sat_r${rate}_q${queue}.json"
     sweep_keys="$sweep_keys sat_r${rate}_q${queue}"
@@ -68,7 +68,7 @@ done
 for rate in 4000 16000 64000; do
   "$build_dir/bench/ext_service" --json --jobs "$sat_jobs" \
     --clients "$clients" --fpga_devices 2 \
-    --sim_mode analytical --sim_cache 1 --sim_cache_warmup 1 \
+    --sim_cache 1 --sim_cache_warmup 1 \
     --rate "$rate" --queue 8192 \
     --admission 1 --slo 0.5,2,8 "$@" \
     > "$tmp/adm_r${rate}_q8192.json"

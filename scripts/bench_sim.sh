@@ -1,9 +1,7 @@
 #!/usr/bin/env sh
-# Measure host-side simulator throughput (reference vs fast vs analytical
-# execution engine) on a 10M-tuple RID/PAD run and record it as
-# BENCH_sim.json at the repo root. The analytical column also reports its
-# predicted-cycle error against the fast engine's exact count. The
-# document follows the fpart.obs.v1 schema (docs/observability.md);
+# Measure host-side simulator throughput (reference vs fast execution
+# engine) on a 10M-tuple RID/PAD run and record it as BENCH_sim.json at
+# the repo root. The document follows the fpart.obs.v1 schema (docs/observability.md);
 # flatten with scripts/bench_to_csv.py.
 # Usage: scripts/bench_sim.sh [build_dir] [n_tuples]
 set -eu

@@ -18,7 +18,7 @@
 #                             sustained tuples_per_sec + p99_us
 # Flatten with scripts/bench_to_csv.py (it unpacks wrapper objects).
 # Usage: scripts/bench_stream.sh [build_dir] [ops] [extra flags...]
-# e.g. scripts/bench_stream.sh build 20000 --sim_mode analytical
+# e.g. scripts/bench_stream.sh build 20000 --drain-engine fpga
 set -eu
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)

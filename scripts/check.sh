@@ -7,7 +7,7 @@
 #
 # The tsan suite builds with ThreadSanitizer and runs the concurrency-
 # heavy binaries (svc_test, svc_property_test, svc_admission_test,
-# cluster_test, stream_test, common_test, obs_test, sim_analytical_test's
+# cluster_test, stream_test, common_test, obs_test, sim_fastpath_test's
 # concurrent sim-cache races, plus ext_service, ext_cluster and ext_stream
 # smoke replays) directly — the full ctest matrix is too slow under TSan
 # to be a useful gate.
@@ -57,7 +57,7 @@ run_tsan_suite() {
     -DFPART_BUILD_EXAMPLES=OFF >&2
   cmake --build "$build_dir" -j "$jobs" \
     --target svc_test svc_property_test svc_admission_test cluster_test \
-    stream_test common_test obs_test sim_analytical_test ext_service \
+    stream_test common_test obs_test sim_fastpath_test ext_service \
     ext_cluster ext_stream >&2
   for bin in svc_test svc_property_test svc_admission_test cluster_test \
              stream_test common_test obs_test; do
@@ -65,20 +65,16 @@ run_tsan_suite() {
     FPART_SCALE=0.0625 "$build_dir/tests/$bin"
   done
   echo "=== tsan sim-cache concurrency ===" >&2
-  "$build_dir/tests/sim_analytical_test" \
-    --gtest_filter='SimAnalyticalTest.Cache*:SimAnalyticalTest.Concurrent*'
+  "$build_dir/tests/sim_fastpath_test" \
+    --gtest_filter='SimAnalyticalTest.*'
   echo "=== tsan ext_service smoke (2-device pool) ===" >&2
   FPART_SCALE=0.0625 "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 > /dev/null
-  echo "=== tsan ext_service analytical+cache smoke ===" >&2
-  FPART_SCALE=0.0625 "$build_dir/bench/ext_service" --json \
-    --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 \
-    --sim_mode analytical --sim_cache 1 --xcheck 0.05 > /dev/null
   echo "=== tsan ext_service pinned-workers + warmup smoke ===" >&2
   FPART_SCALE=0.0625 FPART_AFFINITY=compact \
     "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 \
-    --sim_mode analytical --sim_cache 1 --sim_cache_warmup 1 > /dev/null
+    --sim_cache 1 --sim_cache_warmup 1 > /dev/null
   echo "=== tsan ext_service admission+autoscale smoke ===" >&2
   FPART_SCALE=0.0625 "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 \

@@ -88,7 +88,7 @@ EXT_STREAM_CONFIG_KEYS = [
     "theta0", "theta1", "shift_start_op", "shift_end_op", "rotate_every",
     "seed", "deterministic", "repartition", "tick_every_drains",
     "flip_delay_ticks", "split_min_tuples", "windows",
-    "drain_engine", "sim_mode",
+    "drain_engine",
 ]
 
 # Result-object keys ext_stream must report, and the fields each carries.
@@ -148,20 +148,17 @@ CASES = [
      ["--json", "--jobs", "2000", "--clients", "4",
       "--fpga_devices", "2", "--classes", "8,3,1"],
      EXT_SERVICE_METRICS,
-     ["sim_mode", "sim_cache", "sim_cache_warmup", "xcheck", "affinity"]),
-    # The analytical backend with memoization and cross-checking: the run
-    # must additionally publish the cache counters and the model-error
-    # histogram (xcheck = 1 so the sample is never empty). Warmup pre-runs
-    # every job shape, so the "warmup" result row must be present.
-    ("ext_service_analytical", "ext_service",
+     ["sim_mode", "sim_cache", "sim_cache_warmup", "affinity"]),
+    # Memoization: the run must additionally publish the cache counters.
+    # Warmup pre-runs every job shape, so the "warmup" result row must be
+    # present.
+    ("ext_service_cache", "ext_service",
      ["--json", "--jobs", "2000", "--clients", "4",
       "--fpga_devices", "2", "--classes", "8,3,1",
-      "--sim_mode", "analytical", "--sim_cache", "1", "--xcheck", "1",
-      "--sim_cache_warmup", "1"],
+      "--sim_cache", "1", "--sim_cache_warmup", "1"],
      EXT_SERVICE_METRICS + ["sim.cache.hits", "sim.cache.misses",
-                            "sim.cache.entries", "sim.cache.bytes",
-                            "sim.analytical.error_pct"],
-     ["sim_mode", "sim_cache", "sim_cache_warmup", "xcheck", "affinity"]),
+                            "sim.cache.entries", "sim.cache.bytes"],
+     ["sim_mode", "sim_cache", "sim_cache_warmup", "affinity"]),
     # SLO-aware admission control (svc/admission.h): the run must publish
     # the svc.adm.*/svc.slo.* account, the per-class slo_* attainment rows
     # and the "admission" result row; deterministic mode additionally
@@ -170,8 +167,7 @@ CASES = [
     ("ext_service_admission", "ext_service",
      ["--json", "--jobs", "2000", "--clients", "4",
       "--fpga_devices", "2", "--classes", "8,3,1",
-      "--sim_mode", "analytical", "--sim_cache", "1",
-      "--deterministic", "1", "--rate", "16000",
+      "--sim_cache", "1", "--deterministic", "1", "--rate", "16000",
       "--admission", "1", "--slo", "0.5,2,8"],
      EXT_SERVICE_METRICS + ["svc.adm.considered", "svc.adm.admitted",
                             "svc.adm.rejected.slo",

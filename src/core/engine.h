@@ -47,17 +47,12 @@ struct PartitionRequest {
   /// svc scheduler sets this per run when host workers are busy.
   Interference interference = Interference::kAlone;
   /// FPGA only: host-side execution engine of the cycle simulator (the
-  /// batched fast path, the per-module reference loop, or the analytical
-  /// backend; identical output bytes either way — kAnalytical predicts
-  /// its timing counters from the cost model).
+  /// batched fast path or the per-module reference loop; identical output
+  /// bytes and cycle counters either way).
   SimMode sim_mode = SimMode::kFast;
   /// FPGA only: memoize full run results keyed by config+input digest
   /// (FpgaPartitionerConfig::sim_cache).
   bool sim_cache = false;
-  /// FPGA only, kAnalytical: fraction of runs re-executed on kFast to
-  /// cross-check outputs and predicted cycles
-  /// (FpgaPartitionerConfig::xcheck).
-  double xcheck = 0.0;
   /// CPU only.
   size_t num_threads = 1;
   bool use_buffers = true;
@@ -124,7 +119,6 @@ Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
   config.interference = request.interference;
   config.sim_mode = request.sim_mode;
   config.sim_cache = request.sim_cache;
-  config.xcheck = request.xcheck;
   config.cancel = request.cancel;
   FpgaPartitioner<T> partitioner(config);
   FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> r,

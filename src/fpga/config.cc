@@ -24,8 +24,6 @@ const char* SimModeName(SimMode mode) {
       return "reference";
     case SimMode::kFast:
       return "fast";
-    case SimMode::kAnalytical:
-      return "analytical";
   }
   return "unknown";
 }
@@ -35,8 +33,6 @@ bool ParseSimMode(const std::string& name, SimMode* mode) {
     *mode = SimMode::kReference;
   } else if (name == "fast") {
     *mode = SimMode::kFast;
-  } else if (name == "analytical") {
-    *mode = SimMode::kAnalytical;
   } else {
     return false;
   }

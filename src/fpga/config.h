@@ -42,11 +42,9 @@ enum class LinkKind {
   kRawWrapper,
 };
 
-/// Which host-side execution engine advances the simulated circuit.
-/// All engines produce bit-identical output bytes (asserted by
-/// tests/sim_fastpath_test.cc and tests/sim_analytical_test.cc); the first
-/// two also produce identical CycleStats, while kAnalytical *predicts* its
-/// timing counters from the Section 4.8 cost model.
+/// Which host-side execution engine advances the simulated circuit. Both
+/// engines produce bit-identical output bytes and identical CycleStats
+/// (asserted by tests/sim_fastpath_test.cc).
 enum class SimMode {
   /// Per-module Tick() loop, the clearest transcription of the VHDL.
   kReference,
@@ -54,18 +52,12 @@ enum class SimMode {
   /// inner loops (see src/fpga/fast_engine.h). Several times faster on
   /// the host; cycle counts stay exact.
   kFast,
-  /// Functional stream + lean placement replay (see
-  /// src/fpga/analytical_engine.h): outputs stay bit-identical, but
-  /// cycle/stall counters are predicted by the closed-form cost model in
-  /// src/model/cost_model.h instead of simulated cycle by cycle. Fastest;
-  /// pair with FpgaPartitionerConfig::xcheck to bound the model error.
-  kAnalytical,
 };
 
 const char* OutputModeName(OutputMode mode);
 const char* LayoutModeName(LayoutMode mode);
 const char* SimModeName(SimMode mode);
-/// Parse "reference" / "fast" / "analytical" (the SimModeName spellings).
+/// Parse "reference" / "fast" (the SimModeName spellings).
 /// Returns false and leaves *mode untouched on any other string, so flag
 /// parsers accept and reject mode names symmetrically.
 bool ParseSimMode(const std::string& name, SimMode* mode);
@@ -96,18 +88,6 @@ struct FpgaPartitionerConfig {
   /// never re-simulate (src/fpga/sim_cache.h). A hit returns a deep copy
   /// of the cached output and its CycleStats.
   bool sim_cache = false;
-  /// kAnalytical only: fraction of runs (deterministically sampled by
-  /// input digest) re-executed on kFast to cross-check that outputs are
-  /// byte-identical and the predicted cycle count is within
-  /// xcheck_tolerance. A failed cross-check returns Status::Internal.
-  double xcheck = 0.0;
-  /// Maximum tolerated relative cycle error |analytical - fast| / fast of
-  /// a sampled cross-check (the bound DESIGN.md states for the model).
-  double xcheck_tolerance = 0.15;
-  /// Export this run's counters to the obs metrics registry. Internal
-  /// runs (cross-check re-executions) clear it so sim.* totals keep
-  /// counting each job once.
-  bool publish_metrics = true;
 
   /// Cooperative cancellation token (svc job cancellation / FPGA lease
   /// revocation). Checked at simulation pass boundaries only, so a pass in

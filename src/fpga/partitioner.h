@@ -18,9 +18,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -32,7 +30,6 @@
 #include "compress/for_codec.h"
 #include "datagen/partitioned_output.h"
 #include "datagen/tuple.h"
-#include "fpga/analytical_engine.h"
 #include "fpga/config.h"
 #include "fpga/fast_engine.h"
 #include "fpga/sim_cache.h"
@@ -210,18 +207,12 @@ class FpgaPartitioner {
            config_.cancel->load(std::memory_order_relaxed);
   }
 
-  /// Outer run path: memoization probe, engine execution, sampled
-  /// cross-check, cache fill. RunEngine() below is the actual simulation.
+  /// Outer run path: memoization probe, engine execution, cache fill.
+  /// RunEngine() below is the actual simulation.
   Result<FpgaRunResult<T>> Run(size_t n) {
-    const bool analytical = config_.sim_mode == SimMode::kAnalytical;
-    const bool sample_xcheck = analytical && config_.xcheck > 0.0;
-    SimDigest input_digest{};
-    if (config_.sim_cache || sample_xcheck) {
-      input_digest = InputDigest(n);
-    }
     SimDigest cache_key{};
     if (config_.sim_cache) {
-      cache_key = CacheKey(ConfigDigest(), input_digest);
+      cache_key = CacheKey(ConfigDigest(), InputDigest(n));
       if (std::shared_ptr<const FpgaRunResult<T>> hit =
               ResultCache().Lookup(cache_key)) {
         // A hit replays the memoized run: identical output bytes and
@@ -237,9 +228,6 @@ class FpgaPartitioner {
     FpgaRunResult<T> result;
     FPART_RETURN_NOT_OK(RunEngine(n, &result));
 
-    if (sample_xcheck && SampledForCrossCheck(input_digest)) {
-      FPART_RETURN_NOT_OK(CrossCheck(n, result));
-    }
     if (config_.sim_cache) {
       FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> copy, CloneResult(result));
       ResultCache().Insert(
@@ -248,9 +236,7 @@ class FpgaPartitioner {
           ResultBytes(result));
       PublishCacheOccupancy();
     }
-    if (config_.publish_metrics) {
-      PublishRunObservability(result.stats);
-    }
+    PublishRunObservability(result.stats);
     return result;
   }
 
@@ -267,10 +253,6 @@ class FpgaPartitioner {
     if (config_.output_mode == OutputMode::kHist) {
       if (mode == SimMode::kFast) {
         FastCircuit<T> circuit(config_, fn_, hazard_, stager);
-        FPART_RETURN_NOT_OK(circuit.HistogramPass(n, MaxCycles(n), &link,
-                                                  &result.stats, &lane_hist));
-      } else if (mode == SimMode::kAnalytical) {
-        AnalyticalCircuit<T> circuit(config_, fn_, hazard_, stager);
         FPART_RETURN_NOT_OK(circuit.HistogramPass(n, MaxCycles(n), &link,
                                                   &result.stats, &lane_hist));
       } else {
@@ -320,10 +302,6 @@ class FpgaPartitioner {
     }
     if (mode == SimMode::kFast) {
       FastCircuit<T> circuit(config_, fn_, hazard_, stager);
-      FPART_RETURN_NOT_OK(circuit.PartitionPass(n, MaxCycles(n), &link,
-                                                &result.stats, &result.output));
-    } else if (mode == SimMode::kAnalytical) {
-      AnalyticalCircuit<T> circuit(config_, fn_, hazard_, stager);
       FPART_RETURN_NOT_OK(circuit.PartitionPass(n, MaxCycles(n), &link,
                                                 &result.stats, &result.output));
     } else {
@@ -433,10 +411,9 @@ class FpgaPartitioner {
   }
 
   /// Digest of every configuration knob that can change the run's output
-  /// or reported stats. sim_mode is included (kAnalytical predicts its
-  /// timing, so its CycleStats must not alias the cycle engines'); the
-  /// run-orchestration knobs (sim_cache, xcheck*, publish_metrics, cancel)
-  /// are deliberately excluded — they do not affect the result.
+  /// or reported stats, plus sim_mode so a kReference run never replays a
+  /// kFast result; the run-orchestration knobs (sim_cache, cancel) are
+  /// deliberately excluded — they do not affect the result.
   SimDigest ConfigDigest() const {
     SimHasher h;
     h.MixU64(config_.fanout);
@@ -489,16 +466,6 @@ class FpgaPartitioner {
     return h.Finish();
   }
 
-  /// Deterministic sampling: the input digest is uniform, so comparing it
-  /// against the sampling fraction picks a reproducible xcheck subset —
-  /// reruns of the same workload cross-check the same runs.
-  bool SampledForCrossCheck(const SimDigest& input_digest) const {
-    constexpr uint64_t kScale = 1000000;
-    const uint64_t threshold =
-        static_cast<uint64_t>(config_.xcheck * static_cast<double>(kScale));
-    return input_digest.hi % kScale < threshold;
-  }
-
   static Result<FpgaRunResult<T>> CloneResult(const FpgaRunResult<T>& r) {
     FpgaRunResult<T> out;
     FPART_ASSIGN_OR_RETURN(out.output, r.output.Clone());
@@ -514,76 +481,6 @@ class FpgaPartitioner {
     return static_cast<size_t>(r.output.total_cls()) * kCacheLineSize +
            r.output.num_partitions() * sizeof(PartitionInfo) +
            r.histogram.size() * sizeof(uint64_t) + sizeof(FpgaRunResult<T>);
-  }
-
-  /// Re-execute this run on the kFast cycle engine and compare: output
-  /// bytes and partition metadata must be identical (the analytical replay
-  /// is placement-exact by construction), and the predicted cycle count
-  /// must be within xcheck_tolerance of the simulated one. The relative
-  /// error lands in the sim.analytical.error_pct histogram either way.
-  Status CrossCheck(size_t n, const FpgaRunResult<T>& result) {
-    FpgaPartitionerConfig ref_config = config_;
-    ref_config.sim_mode = SimMode::kFast;
-    ref_config.sim_cache = false;
-    ref_config.xcheck = 0.0;
-    ref_config.publish_metrics = false;
-    FpgaPartitioner<T> ref(std::move(ref_config));
-    ref.hazard_ = hazard_;
-    ref.in_tuples_ = in_tuples_;
-    ref.in_keys_ = in_keys_;
-    ref.in_column_ = in_column_;
-    FpgaRunResult<T> fast;
-    Status st = ref.RunEngine(n, &fast);
-    if (!st.ok()) {
-      return Status::Internal(
-          "analytical cross-check: fast re-execution failed: " +
-          st.ToString());
-    }
-    if (fast.output.total_cls() != result.output.total_cls() ||
-        fast.output.num_partitions() != result.output.num_partitions()) {
-      return Status::Internal(
-          "analytical cross-check: output shape diverged from fast engine");
-    }
-    if (result.output.total_cls() > 0 &&
-        std::memcmp(result.output.line(0), fast.output.line(0),
-                    result.output.total_cls() * kCacheLineSize) != 0) {
-      return Status::Internal(
-          "analytical cross-check: output bytes diverged from fast engine");
-    }
-    for (size_t p = 0; p < result.output.num_partitions(); ++p) {
-      const PartitionInfo& a = result.output.part(p);
-      const PartitionInfo& b = fast.output.part(p);
-      if (a.base_cl != b.base_cl || a.capacity_cls != b.capacity_cls ||
-          a.written_cls != b.written_cls || a.num_tuples != b.num_tuples) {
-        return Status::Internal(
-            "analytical cross-check: partition " + std::to_string(p) +
-            " metadata diverged from fast engine");
-      }
-    }
-    if (result.histogram != fast.histogram) {
-      return Status::Internal(
-          "analytical cross-check: histogram diverged from fast engine");
-    }
-    const double err =
-        fast.stats.cycles > 0
-            ? std::abs(static_cast<double>(result.stats.cycles) -
-                       static_cast<double>(fast.stats.cycles)) /
-                  static_cast<double>(fast.stats.cycles)
-            : 0.0;
-    static obs::Histogram* const error_hist =
-        obs::Registry::Global().GetHistogram(
-            "sim.analytical.error_pct", "percent",
-            "relative cycle error of cross-checked analytical runs");
-    error_hist->Record(static_cast<uint64_t>(std::llround(err * 100.0)));
-    if (err > config_.xcheck_tolerance) {
-      return Status::Internal(
-          "analytical cross-check: predicted " +
-          std::to_string(result.stats.cycles) + " cycles vs simulated " +
-          std::to_string(fast.stats.cycles) + " (error " +
-          std::to_string(err * 100.0) + "% exceeds tolerance " +
-          std::to_string(config_.xcheck_tolerance * 100.0) + "%)");
-    }
-    return Status::OK();
   }
 
   /// HIST pass 1: scan the relation and build per-lane histograms; nothing

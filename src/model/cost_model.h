@@ -119,53 +119,6 @@ class FpgaCostModel {
                                  interference);
   }
 
-  /// \brief Cycle/stall prediction for one simulator pass (eq. 5–7 recast
-  /// at cache-line granularity for SimMode::kAnalytical).
-  struct PassPrediction {
-    uint64_t cycles = 0;
-    uint64_t read_stall_cycles = 0;
-    uint64_t write_stall_cycles = 0;
-  };
-
-  /// Link grant rate in cache lines per cycle for a pass whose traffic has
-  /// the given sequential-read byte share — the B(r) curve of Figure 2
-  /// divided by the line size and the clock (eq. 6 in line/cycle units).
-  static double PassLinesPerCycle(LinkKind link, Interference interference,
-                                  double read_fraction) {
-    const double gbs = link == LinkKind::kRawWrapper
-                           ? kRawWrapperBandwidthGBs
-                           : MemoryBandwidthGBs(MemoryAgent::kFpga,
-                                                interference, read_fraction);
-    return gbs * 1e9 / kCacheLineSize / kFpgaClockHz;
-  }
-
-  /// Predict one pass: the circuit needs `circuit_cycles` if the link never
-  /// stalls; the link needs (reads + writes) / B(r) cycles to grant the
-  /// pass's line traffic. The pass takes the larger of the two (eq. 7), and
-  /// the difference is back-pressure, split across directions in proportion
-  /// to their line counts.
-  static PassPrediction PredictPassCycles(uint64_t circuit_cycles,
-                                          uint64_t read_lines,
-                                          uint64_t write_lines, LinkKind link,
-                                          Interference interference) {
-    PassPrediction p;
-    const uint64_t demand = read_lines + write_lines;
-    p.cycles = circuit_cycles;
-    if (demand > 0) {
-      const double rf = static_cast<double>(read_lines) /
-                        static_cast<double>(demand);
-      const double rate = PassLinesPerCycle(link, interference, rf);
-      const uint64_t link_cycles =
-          static_cast<uint64_t>(static_cast<double>(demand) / rate);
-      if (link_cycles > p.cycles) p.cycles = link_cycles;
-      const uint64_t stall = p.cycles - circuit_cycles;
-      p.read_stall_cycles = static_cast<uint64_t>(
-          static_cast<double>(stall) * rf + 0.5);
-      p.write_stall_cycles = stall - p.read_stall_cycles;
-    }
-    return p;
-  }
-
   int tuple_width() const { return width_; }
   uint32_t fanout() const { return fanout_; }
 

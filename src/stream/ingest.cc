@@ -253,7 +253,6 @@ Status StreamStore::DrainLocked() {
   req.fanout = 1u << global_depth_;
   req.hash = config_.hash;
   req.output_mode = OutputMode::kHist;  // exact sizes, no overflow risk
-  req.sim_mode = config_.sim_mode;
   req.sim_cache = config_.sim_cache;
   req.num_threads = config_.drain_threads;
   auto run = RunPartition<Tuple8>(req, rel);

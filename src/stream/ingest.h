@@ -60,8 +60,7 @@ struct StreamStoreConfig {
   HashMethod hash = HashMethod::kMurmur;
   /// Backend of the ingest drains (the per-batch partitioner run).
   Engine drain_engine = Engine::kCpu;
-  /// FPGA drains only: simulator backend + result memoization.
-  SimMode sim_mode = SimMode::kAnalytical;
+  /// FPGA drains only: memoize the partitioner runs.
   bool sim_cache = true;
   /// Bounded ingest buffer: Ingest() stages tuples here and drains
   /// synchronously when the bound is reached (backpressure by design —
@@ -83,7 +82,14 @@ struct ReadResult {
 };
 
 /// \brief The continuous-ingest partitioned store.
-class StreamStore {
+///
+/// Cache-line aligned, so the directory lock and counters written on
+/// every op never share a line with a neighbouring object, such as the
+/// svc::Scheduler a caller keeps next to the store on its stack.
+/// Unaligned, an 8-byte change in the store's size moved the op p50
+/// latency of bench/e2e's stream_drift workload by a third (4-vCPU KVM
+/// host, 8 of 8 interleaved pairs).
+class alignas(64) StreamStore {
  public:
   /// One hash bucket. Exposed (rather than pimpl'd) because Staged
   /// rebuilds reference buckets across Prepare/Commit.

@@ -937,7 +937,6 @@ Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
   fpga.link = LinkKind::kXeonFpga;
   fpga.sim_mode = config_.sim_mode;
   fpga.sim_cache = config_.sim_cache;
-  fpga.xcheck = config_.xcheck;
   fpga.cancel = &rec->cancel;
   if (config_.adaptive_interference && !config_.deterministic &&
       cpu_busy_.load(std::memory_order_relaxed) > 0) {

@@ -102,9 +102,6 @@ struct SchedulerConfig {
   /// Memoize device run results (FpgaPartitionerConfig::sim_cache) on the
   /// scheduler's own device runs — repeated job shapes skip re-simulation.
   bool sim_cache = false;
-  /// kAnalytical only: cross-check sampling fraction
-  /// (FpgaPartitionerConfig::xcheck) on the scheduler's own device runs.
-  double xcheck = 0.0;
   /// SLO-aware admission control (svc/admission.h): per-class latency
   /// SLOs, deadline-feasibility rejection (Status::SloError) and the
   /// EWMA cost-model correction. Disabled by default.

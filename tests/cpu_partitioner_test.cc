@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -61,12 +63,24 @@ void ExpectCorrect(const CpuRunResult<T>& run, const PartitionFn& fn,
   EXPECT_EQ(total, n);
 }
 
+// gtest names each case after the raw bytes of its parameter, so the
+// struct spells out what would otherwise be padding and zeroes it: padding
+// would carry stack garbage into the test names, different on every run.
 struct CpuParam {
   bool use_buffers;
   bool non_temporal;
+  uint8_t unused0[6];
   size_t threads;
   HashMethod hash;
+  uint32_t unused1;
 };
+static_assert(std::has_unique_object_representations_v<CpuParam>,
+              "CpuParam must have no padding");
+
+CpuParam MakeCpuParam(bool use_buffers, bool non_temporal, size_t threads,
+                      HashMethod hash) {
+  return CpuParam{use_buffers, non_temporal, {}, threads, hash, 0};
+}
 
 class CpuSweepTest : public ::testing::TestWithParam<CpuParam> {};
 
@@ -87,14 +101,14 @@ TEST_P(CpuSweepTest, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, CpuSweepTest,
-    ::testing::Values(CpuParam{false, false, 1, HashMethod::kRadix},
-                      CpuParam{true, false, 1, HashMethod::kRadix},
-                      CpuParam{true, true, 1, HashMethod::kRadix},
-                      CpuParam{true, true, 1, HashMethod::kMurmur},
-                      CpuParam{true, true, 4, HashMethod::kRadix},
-                      CpuParam{true, true, 4, HashMethod::kMurmur},
-                      CpuParam{false, false, 4, HashMethod::kMurmur},
-                      CpuParam{true, true, 3, HashMethod::kCrc32}),
+    ::testing::Values(MakeCpuParam(false, false, 1, HashMethod::kRadix),
+                      MakeCpuParam(true, false, 1, HashMethod::kRadix),
+                      MakeCpuParam(true, true, 1, HashMethod::kRadix),
+                      MakeCpuParam(true, true, 1, HashMethod::kMurmur),
+                      MakeCpuParam(true, true, 4, HashMethod::kRadix),
+                      MakeCpuParam(true, true, 4, HashMethod::kMurmur),
+                      MakeCpuParam(false, false, 4, HashMethod::kMurmur),
+                      MakeCpuParam(true, true, 3, HashMethod::kCrc32)),
     [](const auto& info) {
       return std::string(info.param.use_buffers ? "swwc" : "naive") +
              (info.param.non_temporal ? "_nt" : "") + "_t" +

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <map>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datagen/relation.h"
@@ -421,19 +422,34 @@ TEST(FpgaPartitionerTest, HistHalvesRawThroughput) {
 }
 
 TEST(FpgaPartitionerTest, QpiBoundThroughputNearModel) {
-  FpgaPartitionerConfig config;
-  config.fanout = 1024;
-  config.output_mode = OutputMode::kPad;
-  config.link = LinkKind::kXeonFpga;
+  // Section 4.8 validates the model at three read/write ratios: r = 2
+  // (HIST/RID), 1 (PAD/RID) and 0.5 (PAD/VRID). HIST/VRID (r = 1 over
+  // two passes) sits 14-20 % below the model and is not checked here
+  // (EXPERIMENTS.md, "Section 4.8 model vs the cycle-exact engine").
   const size_t n = 1 << 21;
   auto rel = MakeRelation<Tuple8>(n, 23);
-  FpgaPartitioner<Tuple8> part(config);
-  auto run = part.Partition(rel.data(), n);
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  FpgaCostModel model(8, config.fanout);
-  double predicted = model.TotalRateTuplesPerSec(
-      n, config.output_mode, config.layout, config.link);
-  EXPECT_NEAR(run->mtuples_per_sec * 1e6, predicted, predicted * 0.12);
+  std::vector<uint32_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = rel[i].key;
+  for (auto [mode, layout] :
+       {std::pair{OutputMode::kPad, LayoutMode::kRid},
+        std::pair{OutputMode::kHist, LayoutMode::kRid},
+        std::pair{OutputMode::kPad, LayoutMode::kVrid}}) {
+    FpgaPartitionerConfig config;
+    config.fanout = 1024;
+    config.output_mode = mode;
+    config.layout = layout;
+    config.link = LinkKind::kXeonFpga;
+    FpgaPartitioner<Tuple8> part(config);
+    auto run = layout == LayoutMode::kVrid
+                   ? part.PartitionColumn(keys.data(), n)
+                   : part.Partition(rel.data(), n);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    FpgaCostModel model(8, config.fanout);
+    double predicted = model.TotalRateTuplesPerSec(
+        n, config.output_mode, config.layout, config.link);
+    EXPECT_NEAR(run->mtuples_per_sec * 1e6, predicted, predicted * 0.12)
+        << OutputModeName(mode) << "/" << LayoutModeName(layout);
+  }
 }
 
 TEST(FpgaPartitionerTest, ObservedReadWriteRatioMatchesMode) {

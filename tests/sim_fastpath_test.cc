@@ -6,12 +6,17 @@
 // across every layout, output mode, hazard policy and key distribution,
 // including the PAD overflow abort. The property test additionally
 // randomizes the config knobs (fanout, FIFO depths, pad_fraction, link)
-// and asserts the two engines never diverge.
+// and asserts the two engines never diverge. The sim-result cache
+// (src/fpga/sim_cache.h) is held to the same standard: a memoized run is
+// indistinguishable from the cold run, also under concurrent access
+// (TSan-clean).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/for_codec.h"
@@ -105,6 +110,7 @@ void ExpectIdenticalRuns(const Result<FpgaRunResult<Tuple8>>& ref,
   EXPECT_EQ(a.stats.flush_cycles, b.stats.flush_cycles) << label;
   EXPECT_EQ(a.stats.dummy_tuples, b.stats.dummy_tuples) << label;
   EXPECT_EQ(a.seconds, b.seconds) << label;
+  EXPECT_EQ(a.mtuples_per_sec, b.mtuples_per_sec) << label;
   EXPECT_EQ(a.read_write_ratio, b.read_write_ratio) << label;
   EXPECT_EQ(a.histogram, b.histogram) << label;
 
@@ -261,6 +267,110 @@ TEST(SimFastPathTest, RandomizedKnobsNeverDiverge) {
                         std::to_string(n);
     RunDifferential(config, hazard, dist, n, label, /*seed=*/rng());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Memoization: a cache hit is indistinguishable from the cold run. These
+// tests keep the SimAnalyticalTest suite name they had before the analytical
+// engine was removed, so their test IDs stay stable; they run on kFast.
+
+void ExpectCacheHitMatchesColdRun(OutputMode mode, uint32_t fanout) {
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  FpgaPartitionerConfig config;
+  config.fanout = fanout;
+  config.output_mode = mode;
+  config.sim_cache = true;
+  const std::string label = OutputModeName(mode);
+  auto keys = MakeKeys(30000, KeyDist::kUniform, /*seed=*/21);
+  auto tuples = MakeTuples(keys);
+
+  FpgaPartitioner<Tuple8> part(config);
+  auto cold = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  auto hit = part.Partition(tuples.data(), tuples.size());
+  ExpectIdenticalRuns(cold, hit, label + " cold vs hit");
+
+  const SimCacheStats stats = FpgaPartitioner<Tuple8>::ResultCache().stats();
+  EXPECT_GE(stats.hits, 1u) << label;
+  EXPECT_GE(stats.entries, 1u) << label;
+
+  // A different input under the same config must miss and produce a
+  // different digest (different bytes, different result).
+  auto other = MakeTuples(MakeKeys(30000, KeyDist::kUniform, /*seed=*/22));
+  auto miss = part.Partition(other.data(), other.size());
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  EXPECT_NE(0, std::memcmp(cold->output.line(0), miss->output.line(0),
+                           std::min(cold->output.total_cls(),
+                                    miss->output.total_cls()) *
+                               kCacheLineSize))
+      << label;
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+}
+
+TEST(SimAnalyticalTest, CacheHitMatchesColdRun) {
+  ExpectCacheHitMatchesColdRun(OutputMode::kHist, /*fanout=*/512);
+}
+
+TEST(SimAnalyticalTest, CacheWorksForFastModeToo) {
+  // The PAD shape of the test above: the cache key covers the output mode.
+  ExpectCacheHitMatchesColdRun(OutputMode::kPad, /*fanout=*/128);
+}
+
+TEST(SimAnalyticalTest, ConcurrentCacheAccessIsConsistent) {
+  // Many threads race cold misses, inserts and hits on a small set of
+  // (config, input) shapes; every returned run must equal the
+  // single-threaded result for its shape. Run under TSan by
+  // scripts/check.sh.
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  constexpr int kShapes = 4;
+  constexpr int kThreads = 8;
+  constexpr int kRunsPerThread = 6;
+
+  std::vector<std::vector<Tuple8>> inputs;
+  std::vector<FpgaRunResult<Tuple8>> expected;
+  FpgaPartitionerConfig config;
+  config.fanout = 256;
+  config.output_mode = OutputMode::kHist;
+  config.sim_cache = true;
+  for (int s = 0; s < kShapes; ++s) {
+    inputs.push_back(MakeTuples(
+        MakeKeys(8000 + 512 * s, KeyDist::kUniform, /*seed=*/40 + s)));
+    FpgaPartitionerConfig uncached = config;
+    uncached.sim_cache = false;
+    FpgaPartitioner<Tuple8> part(uncached);
+    auto run = part.Partition(inputs[s].data(), inputs[s].size());
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    expected.push_back(std::move(*run));
+  }
+
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRunsPerThread; ++r) {
+        const int s = (t + r) % kShapes;
+        FpgaPartitioner<Tuple8> part(config);
+        auto run = part.Partition(inputs[s].data(), inputs[s].size());
+        if (!run.ok() ||
+            run->output.total_cls() != expected[s].output.total_cls() ||
+            run->stats.cycles != expected[s].stats.cycles ||
+            std::memcmp(run->output.line(0), expected[s].output.line(0),
+                        expected[s].output.total_cls() * kCacheLineSize) !=
+                0) {
+          ++failures[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(0, failures[t]) << "thread " << t;
+  }
+  const SimCacheStats stats = FpgaPartitioner<Tuple8>::ResultCache().stats();
+  EXPECT_EQ(stats.entries, static_cast<uint64_t>(kShapes));
+  EXPECT_GE(stats.hits + stats.misses,
+            static_cast<uint64_t>(kThreads * kRunsPerThread));
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
 }
 
 }  // namespace

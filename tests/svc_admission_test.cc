@@ -321,7 +321,6 @@ SchedulerConfig DetConfig(uint64_t jobs) {
   config.queue_capacity = jobs;
   config.num_workers = 2;
   config.fpga_devices = 1;
-  config.sim_mode = SimMode::kAnalytical;
   config.sim_cache = true;
   return config;
 }
@@ -340,7 +339,6 @@ std::vector<JobHandle> SubmitDetStream(Scheduler* scheduler,
     spec.input = &rel;
     spec.request.fanout = 512;
     spec.request.output_mode = OutputMode::kHist;
-    spec.request.sim_mode = SimMode::kAnalytical;
     spec.request.sim_cache = true;
     JobOptions opts;
     opts.arrival_seq = i;
@@ -509,7 +507,6 @@ TEST(SchedulerAdmissionTest, ReplayHashStableAcrossClientCountsWithAdmission) {
           spec.input = &rel;
           spec.request.fanout = 512;
           spec.request.output_mode = OutputMode::kHist;
-          spec.request.sim_mode = SimMode::kAnalytical;
           spec.request.sim_cache = true;
           JobOptions opts;
           opts.arrival_seq = i;
@@ -547,7 +544,6 @@ TEST(SchedulerAdmissionTest, RejectedJobsDoNotAdvanceTheVirtualClocks) {
       spec.input = &rel;
       spec.request.fanout = 512;
       spec.request.output_mode = OutputMode::kHist;
-      spec.request.sim_mode = SimMode::kAnalytical;
       spec.request.sim_cache = true;
       JobOptions opts;
       opts.arrival_seq = seq++;

@@ -268,7 +268,6 @@ AdmissionReplay RunAdmissionReplay(const Relation<Tuple8>& rel,
   config.queue_capacity = jobs;
   config.num_workers = 2;
   config.fpga_devices = 2;
-  config.sim_mode = SimMode::kAnalytical;
   config.sim_cache = true;
   config.slo.enabled = true;
   config.slo.class_slo_seconds = {slo_seconds, slo_seconds * 4.0, 0.0};
@@ -296,7 +295,6 @@ AdmissionReplay RunAdmissionReplay(const Relation<Tuple8>& rel,
         spec.input = &rel;
         spec.request.fanout = 512;
         spec.request.output_mode = OutputMode::kHist;
-        spec.request.sim_mode = SimMode::kAnalytical;
         spec.request.sim_cache = true;
         JobOptions opts;
         opts.arrival_seq = i;
