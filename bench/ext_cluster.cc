@@ -375,8 +375,10 @@ int Run(const Options& opt) {
                  {"epoch_violations",
                   static_cast<double>(epoch_violations)}});
   report.ResultDouble("wall_seconds", wall_seconds);
+  // Goodput: completed jobs only; shed, failed and cancelled jobs are not
+  // throughput.
   report.ResultDouble("jobs_per_sec",
-                      wall_seconds > 0 ? opt.jobs / wall_seconds : 0.0);
+                      wall_seconds > 0 ? completed / wall_seconds : 0.0);
   if (opt.deterministic) {
     // Model-time throughput: the cluster makespan is the latest node's
     // virtual clock — it shrinks as --nodes grows even when all the
@@ -384,7 +386,7 @@ int Run(const Options& opt) {
     const double makespan = cluster.virtual_makespan_seconds();
     report.ResultDouble("virtual_makespan_seconds", makespan);
     report.ResultDouble("virtual_jobs_per_sec",
-                        makespan > 0 ? opt.jobs / makespan : 0.0);
+                        makespan > 0 ? completed / makespan : 0.0);
   }
   report.ResultUInt("determinism_hash", determinism_hash);
   report.Print();

@@ -615,8 +615,10 @@ int Run(const Options& opt) {
                    {"seconds", warmup_seconds}});
   }
   report.ResultDouble("wall_seconds", wall_seconds);
+  // Goodput: completed jobs only; shed, rejected, failed and cancelled jobs
+  // are not throughput.
   report.ResultDouble("jobs_per_sec",
-                      wall_seconds > 0 ? opt.jobs / wall_seconds : 0.0);
+                      wall_seconds > 0 ? completed / wall_seconds : 0.0);
   if (opt.deterministic) {
     // Model-time throughput: the virtual makespan is what a real device
     // pool would deliver — it shrinks with --fpga_devices even when the
@@ -624,7 +626,7 @@ int Run(const Options& opt) {
     const double makespan = scheduler.virtual_makespan_seconds();
     report.ResultDouble("virtual_makespan_seconds", makespan);
     report.ResultDouble("virtual_jobs_per_sec",
-                        makespan > 0 ? opt.jobs / makespan : 0.0);
+                        makespan > 0 ? completed / makespan : 0.0);
   }
   report.ResultUInt("determinism_hash", determinism_hash);
   report.Print();

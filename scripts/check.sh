@@ -8,8 +8,8 @@
 # The tsan suite builds with ThreadSanitizer and runs the concurrency-
 # heavy binaries (svc_test, svc_property_test, svc_admission_test,
 # cluster_test, stream_test, common_test, obs_test, sim_fastpath_test's
-# concurrent sim-cache races, plus ext_service, ext_cluster and ext_stream
-# smoke replays) directly — the full ctest matrix is too slow under TSan
+# concurrent sim-cache races, datagen_test's copy-on-write output races,
+# plus ext_service, ext_cluster and ext_stream smoke replays) directly — the full ctest matrix is too slow under TSan
 # to be a useful gate.
 #
 # Each run_suite pass also re-runs the `svc_admission` ctest label on its
@@ -57,8 +57,8 @@ run_tsan_suite() {
     -DFPART_BUILD_EXAMPLES=OFF >&2
   cmake --build "$build_dir" -j "$jobs" \
     --target svc_test svc_property_test svc_admission_test cluster_test \
-    stream_test common_test obs_test sim_fastpath_test ext_service \
-    ext_cluster ext_stream >&2
+    stream_test common_test obs_test sim_fastpath_test datagen_test \
+    ext_service ext_cluster ext_stream >&2
   for bin in svc_test svc_property_test svc_admission_test cluster_test \
              stream_test common_test obs_test; do
     echo "=== tsan $bin ===" >&2
@@ -67,6 +67,8 @@ run_tsan_suite() {
   echo "=== tsan sim-cache concurrency ===" >&2
   "$build_dir/tests/sim_fastpath_test" \
     --gtest_filter='SimAnalyticalTest.*'
+  echo "=== tsan copy-on-write outputs ===" >&2
+  "$build_dir/tests/datagen_test" --gtest_filter='PartitionedOutputTest.*'
   echo "=== tsan ext_service smoke (2-device pool) ===" >&2
   FPART_SCALE=0.0625 "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 > /dev/null

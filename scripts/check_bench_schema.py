@@ -151,13 +151,15 @@ CASES = [
      ["sim_mode", "sim_cache", "sim_cache_warmup", "affinity"]),
     # Memoization: the run must additionally publish the cache counters.
     # Warmup pre-runs every job shape, so the "warmup" result row must be
-    # present.
+    # present. The service only reads its hits, so sim.cache.copied_bytes
+    # must be 0 (checked in validate()).
     ("ext_service_cache", "ext_service",
      ["--json", "--jobs", "2000", "--clients", "4",
       "--fpga_devices", "2", "--classes", "8,3,1",
       "--sim_cache", "1", "--sim_cache_warmup", "1"],
      EXT_SERVICE_METRICS + ["sim.cache.hits", "sim.cache.misses",
-                            "sim.cache.entries", "sim.cache.bytes"],
+                            "sim.cache.entries", "sim.cache.bytes",
+                            "sim.cache.copied_bytes"],
      ["sim_mode", "sim_cache", "sim_cache_warmup", "affinity"]),
     # SLO-aware admission control (svc/admission.h): the run must publish
     # the svc.adm.*/svc.slo.* account, the per-class slo_* attainment rows
@@ -299,6 +301,12 @@ def validate(name: str, doc: dict, expected_metrics,
                           "weight_share"):
                 if field not in obj:
                     fail(f"{name}: class_{cls} lacks '{field}'")
+        # A hit shares the cached output; any copy-on-write detach means
+        # some consumer wrote into (or read non-const from) a shared hit.
+        copied = metrics.get("sim.cache.copied_bytes", {}).get("value", 0)
+        if copied != 0:
+            fail(f"{name}: sim.cache.copied_bytes is {copied}, expected 0 "
+                 f"(hits must be read in place)")
         if doc["config"].get("sim_cache_warmup") == 1:
             warm = doc["results"].get("warmup")
             if not isinstance(warm, dict) or "runs" not in warm:

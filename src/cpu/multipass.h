@@ -89,14 +89,15 @@ Result<CpuRunResult<T>> MultipassPartition(const CpuPartitionerConfig& config,
   }
   FPART_ASSIGN_OR_RETURN(PartitionedOutput<T> output,
                          PartitionedOutput<T>::Allocate(capacity_cls));
-  T* out_base = reinterpret_cast<T*>(output.line(0));
+  T* out_base = reinterpret_cast<T*>(output.mutable_data());
+  PartitionInfo* const parts = output.mutable_parts();
 
   auto scatter_worker = [&](size_t t) {
     std::vector<uint64_t> cursor(f2);
     size_t begin = f1 * t / num_threads, end = f1 * (t + 1) / num_threads;
     for (size_t p1 = begin; p1 < end; ++p1) {
       for (uint32_t p2 = 0; p2 < f2; ++p2) {
-        cursor[p2] = output.part(p1 * f2 + p2).base_cl * kK;
+        cursor[p2] = parts[p1 * f2 + p2].base_cl * kK;
       }
       Scatter(fn2, pass1.output.partition_data(p1), 0,
               pass1.output.part(p1).num_tuples, cursor.data(), out_base,
@@ -112,9 +113,9 @@ Result<CpuRunResult<T>> MultipassPartition(const CpuPartitionerConfig& config,
 
   CpuRunResult<T> result;
   for (uint32_t g = 0; g < config.fanout; ++g) {
-    output.part(g).num_tuples = final_hist[g];
-    output.part(g).written_cls = capacity_cls[g];
-    T* data = output.partition_data(g);
+    parts[g].num_tuples = final_hist[g];
+    parts[g].written_cls = capacity_cls[g];
+    T* data = out_base + parts[g].base_cl * kK;
     for (uint64_t i = final_hist[g];
          i < static_cast<uint64_t>(capacity_cls[g]) * kK; ++i) {
       data[i] = MakeDummyTuple<T>();

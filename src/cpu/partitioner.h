@@ -561,11 +561,12 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   }
   FPART_ASSIGN_OR_RETURN(PartitionedOutput<T> output,
                          PartitionedOutput<T>::Allocate(capacity_cls));
-  T* out_base = reinterpret_cast<T*>(output.line(0));
+  T* out_base = reinterpret_cast<T*>(output.mutable_data());
+  PartitionInfo* const parts = output.mutable_parts();
   std::vector<std::vector<uint64_t>> cursor(
       num_threads, std::vector<uint64_t>(config.fanout, 0));
   for (uint32_t p = 0; p < config.fanout; ++p) {
-    uint64_t base = output.part(p).base_cl * kK;
+    uint64_t base = parts[p].base_cl * kK;
     for (size_t t = 0; t < num_threads; ++t) {
       cursor[t][p] = base;
       base += hist[t][p];
@@ -603,12 +604,12 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   result.histogram_seconds = hist_seconds;
   result.scatter_seconds = scatter_seconds;
   for (uint32_t p = 0; p < config.fanout; ++p) {
-    output.part(p).num_tuples = part_total[p];
-    output.part(p).written_cls = capacity_cls[p];
+    parts[p].num_tuples = part_total[p];
+    parts[p].written_cls = capacity_cls[p];
     // Mark the unused slots of the partition's last cache line as dummies,
     // the same convention the FPGA flush uses (Section 4.2), so consumers
     // can treat both outputs identically.
-    T* data = output.partition_data(p);
+    T* data = out_base + parts[p].base_cl * kK;
     for (uint64_t i = part_total[p];
          i < static_cast<uint64_t>(capacity_cls[p]) * kK; ++i) {
       data[i] = MakeDummyTuple<T>();

@@ -85,8 +85,8 @@ struct FpgaPartitionerConfig {
   SimMode sim_mode = SimMode::kFast;
   /// Memoize full run results keyed by (config digest, input digest,
   /// sim_mode) in the process-wide SimResultCache, so repeated job shapes
-  /// never re-simulate (src/fpga/sim_cache.h). A hit returns a deep copy
-  /// of the cached output and its CycleStats.
+  /// never re-simulate (src/fpga/sim_cache.h). A hit shares the cached
+  /// output buffer (copy-on-write) and returns its CycleStats.
   bool sim_cache = false;
 
   /// Cooperative cancellation token (svc job cancellation / FPGA lease

@@ -138,6 +138,8 @@ class FastCircuit {
   Status PartitionPass(size_t n, uint64_t max_cycles, QpiLink* link,
                        CycleStats* stats, PartitionedOutput<T>* output) {
     AllocateCombinerState();
+    PartitionInfo* const parts = output->mutable_parts();
+    uint8_t* const data = output->mutable_data();
     const size_t total_reads = stager_.TotalReads(n);
 
     // --- Main streaming loop, in batched steady-state windows.
@@ -148,7 +150,7 @@ class FastCircuit {
           return Status::Internal("partition pass exceeded cycle budget");
         }
         link->Tick();
-        WriteBackTick(link, stats, output);
+        WriteBackTick(link, stats, parts, data);
         if (overflowed_) return OverflowStatus();
         CombinerTick();
         FeedCycle(n, total_reads, link, stats);
@@ -164,7 +166,7 @@ class FastCircuit {
           return Status::Internal("flush exceeded cycle budget");
         }
         link->Tick();
-        WriteBackTick(link, stats, output);
+        WriteBackTick(link, stats, parts, data);
         if (overflowed_) return OverflowStatus();
         if (lanes_[c].out_count < out_depth_) {
           FlushPartition(c, p);
@@ -178,7 +180,7 @@ class FastCircuit {
         return Status::Internal("drain exceeded cycle budget");
       }
       link->Tick();
-      WriteBackTick(link, stats, output);
+      WriteBackTick(link, stats, parts, data);
       if (overflowed_) return OverflowStatus();
     }
     stats->flush_cycles += stats->cycles - flush_start_cycles;
@@ -510,8 +512,8 @@ class FastCircuit {
   // ---- Write-back ---------------------------------------------------------
 
   /// One write-back clock (reference: WriteBackModule::Tick).
-  void WriteBackTick(QpiLink* link, CycleStats* stats,
-                     PartitionedOutput<T>* out) {
+  void WriteBackTick(QpiLink* link, CycleStats* stats, PartitionInfo* parts,
+                     uint8_t* data) {
     if (!wb_valid_ && !overflowed_ && out_mask_ != 0) {
       // Round-robin pick: rotate the occupancy mask so rr_cursor_ is bit 0
       // and take the lowest set bit — same lane the reference scan finds.
@@ -525,7 +527,7 @@ class FastCircuit {
       l.out_head = l.out_head + 1 == out_depth_ ? 0 : l.out_head + 1;
       if (--l.out_count == 0) out_mask_ &= ~(1u << idx);
       rr_cursor_ = idx + 1 == static_cast<size_t>(K) ? 0 : idx + 1;
-      PartitionInfo& part = out->part(wb_line_.partition);
+      PartitionInfo& part = parts[wb_line_.partition];
       if (part.written_cls >= part.capacity_cls) {
         overflowed_ = true;
         overflow_partition_ = wb_line_.partition;
@@ -538,7 +540,7 @@ class FastCircuit {
     }
     if (wb_valid_) {
       if (link->TryWrite()) {
-        uint8_t* dst = out->line(wb_dest_);
+        uint8_t* dst = data + wb_dest_ * kCacheLineSize;
 #if defined(__SSE2__)
         // The PAD output buffer is far larger than cache and each line is
         // written once and not re-read here: streaming stores skip the

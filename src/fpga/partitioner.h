@@ -220,7 +220,7 @@ class FpgaPartitioner {
         // (the simulation did not happen again) — only the cache counters
         // record the probe.
         PublishCacheObservability(true);
-        return CloneResult(*hit);
+        return *hit;  // shares the memoized output buffer
       }
       PublishCacheObservability(false);
     }
@@ -229,11 +229,9 @@ class FpgaPartitioner {
     FPART_RETURN_NOT_OK(RunEngine(n, &result));
 
     if (config_.sim_cache) {
-      FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> copy, CloneResult(result));
-      ResultCache().Insert(
-          cache_key,
-          std::make_shared<const FpgaRunResult<T>>(std::move(copy)),
-          ResultBytes(result));
+      ResultCache().Insert(cache_key,
+                           std::make_shared<const FpgaRunResult<T>>(result),
+                           ResultBytes(result));
       PublishCacheOccupancy();
     }
     PublishRunObservability(result.stats);
@@ -382,6 +380,7 @@ class FpgaPartitioner {
     static obs::Counter* const misses = reg.GetCounter(
         "sim.cache.misses", "lookups",
         "sim-result cache probes that fell through to the simulator");
+    PartitionedOutput<T>::CopiedBytesCounter();  // registers it at 0
     if (hit) {
       hits->Add();
     } else {
@@ -464,17 +463,6 @@ class FpgaPartitioner {
     h.MixU64(input_digest.hi);
     h.MixU64(input_digest.lo);
     return h.Finish();
-  }
-
-  static Result<FpgaRunResult<T>> CloneResult(const FpgaRunResult<T>& r) {
-    FpgaRunResult<T> out;
-    FPART_ASSIGN_OR_RETURN(out.output, r.output.Clone());
-    out.stats = r.stats;
-    out.seconds = r.seconds;
-    out.mtuples_per_sec = r.mtuples_per_sec;
-    out.histogram = r.histogram;
-    out.read_write_ratio = r.read_write_ratio;
-    return out;
   }
 
   static size_t ResultBytes(const FpgaRunResult<T>& r) {

@@ -15,14 +15,14 @@
 //  * ShardedLruCache<V>: a byte-budgeted LRU of shared_ptr<const V>,
 //    sharded 16 ways like the obs metrics registry so concurrent probes
 //    from scheduler workers do not serialize on one lock. Values are
-//    immutable once inserted; callers deep-copy after the lookup returns
-//    (FpgaRunResult buffers are move-only, so sharing the stored instance
-//    directly would let one consumer mutate another's hit).
+//    immutable once inserted; a hit's copy shares the entry's output
+//    buffer, and a consumer that writes into it copies on write
+//    (datagen/partitioned_output.h), so none can change another's hit.
 //
 // The typed global cache instance lives in fpga/partitioner.h
 // (FpgaPartitioner<T>::ResultCache), because the cached value type
-// FpgaRunResult<T> is declared there; hit/miss/eviction totals are
-// exported as the sim.cache.* counters of docs/observability.md.
+// FpgaRunResult<T> is declared there; hit/miss/eviction/copied-bytes totals
+// are exported as the sim.cache.* counters of docs/observability.md.
 #pragma once
 
 #include <array>
@@ -108,7 +108,7 @@ struct SimCacheStats {
 ///
 /// Thread-safe; one mutex per shard (a lookup touches exactly one shard).
 /// Stored values are shared_ptr<const V>: a Lookup returns a reference to
-/// the immutable cached instance and never blocks on the value's size.
+/// the immutable cached instance (no copy), never blocking on its size.
 template <typename V>
 class ShardedLruCache {
  public:

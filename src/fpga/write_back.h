@@ -26,14 +26,15 @@ namespace fpart {
 template <typename T>
 class WriteBackModule {
  public:
-  /// \param out     destination partitions (pre-allocated). A line whose
-  ///                partition has no free capacity left triggers the PAD
-  ///                overflow abort (HIST capacities are exact, so there the
-  ///                check never fires).
+  /// \param out     destination partitions (pre-allocated, and not copied
+  ///                while the module writes). A line whose partition has no
+  ///                free capacity left triggers the PAD overflow abort (HIST
+  ///                capacities are exact, so there the check never fires).
   /// \param inputs  one output FIFO per write combiner
   WriteBackModule(PartitionedOutput<T>* out,
                   std::vector<Fifo<CombinedLine<T>>*> inputs)
-      : out_(out), inputs_(std::move(inputs)) {}
+      : parts_(out->mutable_parts()), data_(out->mutable_data()),
+        inputs_(std::move(inputs)) {}
 
   /// Advance one clock cycle.
   void Tick(QpiLink* link, CycleStats* stats) {
@@ -45,7 +46,7 @@ class WriteBackModule {
           pending_ = *inputs_[idx]->Pop();
           pending_valid_ = true;
           rr_cursor_ = (idx + 1) % inputs_.size();
-          PartitionInfo& part = out_->part(pending_.partition);
+          PartitionInfo& part = parts_[pending_.partition];
           if (part.written_cls >= part.capacity_cls) {
             // PAD-mode overflow (Section 4.5): one of the fixed-size
             // partitions is full; the run aborts and falls back.
@@ -64,8 +65,8 @@ class WriteBackModule {
     // Send the pending line if QPI grants a write token this cycle.
     if (pending_valid_) {
       if (link->TryWrite()) {
-        std::memcpy(out_->line(pending_dest_cl_), pending_.tuples.data(),
-                    kCacheLineSize);
+        std::memcpy(data_ + pending_dest_cl_ * kCacheLineSize,
+                    pending_.tuples.data(), kCacheLineSize);
         ++stats->output_lines;
         stats->dummy_tuples += CombinedLine<T>::kTuples - pending_.valid_count;
         pending_valid_ = false;
@@ -81,7 +82,8 @@ class WriteBackModule {
   uint32_t overflow_partition() const { return overflow_partition_; }
 
  private:
-  PartitionedOutput<T>* out_;
+  PartitionInfo* parts_;
+  uint8_t* data_;
   std::vector<Fifo<CombinedLine<T>>*> inputs_;
   size_t rr_cursor_ = 0;
 

@@ -21,7 +21,7 @@ Result<GroupByOutput> PartitionedGroupBy(const GroupByConfig& config,
     attempt = RunPartition(request, relation);
   }
   if (!attempt.ok()) return attempt.status();
-  PartitionReport<Tuple8> partitioned = std::move(*attempt);
+  const PartitionReport<Tuple8> partitioned = std::move(*attempt);
 
   const size_t num_threads = std::max<size_t>(1, config.num_threads);
   std::unique_ptr<ThreadPool> own_pool;

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "datagen/distribution.h"
@@ -280,6 +283,77 @@ TEST(PartitionedOutputTest, SlotsFollowWrittenLines) {
   ASSERT_TRUE(out.ok());
   out->part(0).written_cls = 3;
   EXPECT_EQ(out->partition_slots(0), 12u);  // 3 lines × 4 tuples
+}
+
+TEST(PartitionedOutputTest, CopySharesStorageAndDetachesOnWrite) {
+  auto out = PartitionedOutput<Tuple8>::Allocate({2, 3});
+  ASSERT_TRUE(out.ok());
+  PartitionedOutput<Tuple8> original = std::move(*out);
+  original.part(1).num_tuples = 5;
+  original.partition_data(1)[0] = Tuple8{42, 7};
+
+  obs::Counter* copied = PartitionedOutput<Tuple8>::CopiedBytesCounter();
+  const uint64_t copied_before = copied->Value();
+  PartitionedOutput<Tuple8> copy = original;
+  const PartitionedOutput<Tuple8>& view = copy;
+  EXPECT_EQ(view.line(0), std::as_const(original).line(0));
+  EXPECT_EQ(copied->Value(), copied_before);
+
+  // The first write through the copy detaches it; the original keeps its
+  // bytes and metadata, and later writes reuse the private storage.
+  copy.partition_data(1)[0] = Tuple8{1, 1};
+  copy.part(1).num_tuples = 9;
+  EXPECT_NE(view.line(0), std::as_const(original).line(0));
+  EXPECT_EQ(copied->Value() - copied_before,
+            5 * kCacheLineSize + 2 * sizeof(PartitionInfo));
+  copy.line(0)[0] = 1;
+  EXPECT_EQ(copied->Value() - copied_before,
+            5 * kCacheLineSize + 2 * sizeof(PartitionInfo));
+  EXPECT_EQ(std::as_const(original).partition_data(1)[0].key, 42u);
+  EXPECT_EQ(std::as_const(original).part(1).num_tuples, 5u);
+  EXPECT_EQ(view.part(1).num_tuples, 9u);
+  EXPECT_EQ(view.part(0).base_cl, 0u);
+  EXPECT_EQ(view.partition_data(1)[0].key, 1u);
+}
+
+TEST(PartitionedOutputTest, LastOwnerWritesInPlaceAfterReadersRelease) {
+  // Readers on other threads read their copies, then drop them. Once every
+  // copy is gone the owner writes in place (nothing is copied); the
+  // reference count's release/acquire pairing orders the readers' reads
+  // before those writes, which TSan (scripts/check.sh) checks. The writes
+  // are per element because GCC 12's TSan does not flag races via memset.
+  constexpr int kReaders = 4;
+  constexpr size_t kTuples = 64 * TupleTraits<Tuple8>::kTuplesPerCacheLine;
+  auto out = PartitionedOutput<Tuple8>::Allocate({64});
+  ASSERT_TRUE(out.ok());
+  PartitionedOutput<Tuple8> owner = std::move(*out);
+  for (size_t i = 0; i < kTuples; ++i) owner.partition_data(0)[i] = {1, 1};
+  owner.part(0).num_tuples = kTuples;
+  obs::Counter* copied = PartitionedOutput<Tuple8>::CopiedBytesCounter();
+  const uint64_t copied_before = copied->Value();
+
+  std::atomic<int> released{0};
+  std::vector<uint64_t> sums(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t, copy = owner]() mutable {
+      const PartitionedOutput<Tuple8>& view = copy;
+      for (size_t i = 0; i < view.part(0).num_tuples; ++i) {
+        sums[t] += view.partition_data(0)[i].key;
+      }
+      copy = PartitionedOutput<Tuple8>();
+      // Relaxed on purpose: only the reference count may order the reads.
+      released.fetch_add(1, std::memory_order_relaxed);
+    });
+  }
+  while (released.load(std::memory_order_relaxed) < kReaders) {
+    std::this_thread::yield();
+  }
+  for (size_t i = 0; i < kTuples; ++i) owner.partition_data(0)[i] = {2, 2};
+  owner.part(0).num_tuples = 0;
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(copied->Value(), copied_before);
+  for (uint64_t sum : sums) EXPECT_EQ(sum, kTuples);
 }
 
 }  // namespace

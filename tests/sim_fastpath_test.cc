@@ -17,6 +17,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "compress/for_codec.h"
@@ -316,6 +317,64 @@ TEST(SimAnalyticalTest, CacheWorksForFastModeToo) {
   ExpectCacheHitMatchesColdRun(OutputMode::kPad, /*fanout=*/128);
 }
 
+TEST(SimAnalyticalTest, HitsShareOneOutputBuffer) {
+  // The miss and every later hit of one shape read the memoized bytes in
+  // place: same buffer address, nothing copied.
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  FpgaPartitionerConfig config;
+  config.fanout = 512;
+  config.output_mode = OutputMode::kHist;
+  config.sim_cache = true;
+  auto tuples = MakeTuples(MakeKeys(30000, KeyDist::kUniform, /*seed=*/23));
+  obs::Counter* copied = PartitionedOutput<Tuple8>::CopiedBytesCounter();
+  const uint64_t copied_before = copied->Value();
+
+  FpgaPartitioner<Tuple8> part(config);
+  const auto cold = part.Partition(tuples.data(), tuples.size());
+  const auto hit1 = part.Partition(tuples.data(), tuples.size());
+  const auto hit2 = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(cold.ok() && hit1.ok() && hit2.ok());
+  EXPECT_EQ(hit1->output.line(0), hit2->output.line(0));
+  EXPECT_EQ(cold->output.line(0), hit1->output.line(0));
+  EXPECT_EQ(copied->Value(), copied_before);
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+}
+
+TEST(SimAnalyticalTest, WritingIntoAHitLeavesTheCacheIntact) {
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+  FpgaPartitionerConfig config;
+  config.fanout = 512;
+  config.output_mode = OutputMode::kHist;
+  config.sim_cache = true;
+  auto tuples = MakeTuples(MakeKeys(30000, KeyDist::kUniform, /*seed=*/24));
+  FpgaPartitionerConfig uncached = config;
+  uncached.sim_cache = false;
+  const auto reference =
+      FpgaPartitioner<Tuple8>(uncached).Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  obs::Counter* copied = PartitionedOutput<Tuple8>::CopiedBytesCounter();
+  const uint64_t copied_before = copied->Value();
+
+  FpgaPartitioner<Tuple8> part(config);
+  const auto cold = part.Partition(tuples.data(), tuples.size());
+  auto hit = part.Partition(tuples.data(), tuples.size());
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  // Overwrite every stored slot of every partition through the hit.
+  for (size_t p = 0; p < hit->output.num_partitions(); ++p) {
+    Tuple8* data = hit->output.partition_data(p);
+    for (size_t i = 0; i < hit->output.partition_slots(p); ++i) {
+      data[i] = Tuple8{0xdeadbeef, 0xdeadbeef};
+    }
+  }
+  EXPECT_EQ(copied->Value() - copied_before,
+            hit->output.total_cls() * kCacheLineSize +
+                hit->output.num_partitions() * sizeof(PartitionInfo));
+  const auto later = part.Partition(tuples.data(), tuples.size());
+  ExpectIdenticalRuns(reference, cold, "uncached vs cold");
+  ExpectIdenticalRuns(reference, later, "uncached vs later hit");
+  FpgaPartitioner<Tuple8>::ResultCache().Clear();
+}
+
 TEST(SimAnalyticalTest, ConcurrentCacheAccessIsConsistent) {
   // Many threads race cold misses, inserts and hits on a small set of
   // (config, input) shapes; every returned run must equal the
@@ -354,10 +413,19 @@ TEST(SimAnalyticalTest, ConcurrentCacheAccessIsConsistent) {
         if (!run.ok() ||
             run->output.total_cls() != expected[s].output.total_cls() ||
             run->stats.cycles != expected[s].stats.cycles ||
-            std::memcmp(run->output.line(0), expected[s].output.line(0),
+            std::memcmp(std::as_const(run->output).line(0),
+                        expected[s].output.line(0),
                         expected[s].output.total_cls() * kCacheLineSize) !=
                 0) {
           ++failures[t];
+        }
+        // Scribble on this thread's own run: it detaches from the entry the
+        // other threads are still reading. Per element, so TSan sees it.
+        for (size_t p = 0; run.ok() && p < run->output.num_partitions(); ++p) {
+          Tuple8* data = run->output.partition_data(p);
+          for (size_t i = 0; i < run->output.partition_slots(p); ++i) {
+            data[i] = Tuple8{0xdeadbeef, 0xdeadbeef};
+          }
         }
       }
     });
@@ -365,6 +433,15 @@ TEST(SimAnalyticalTest, ConcurrentCacheAccessIsConsistent) {
   for (std::thread& t : threads) t.join();
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(0, failures[t]) << "thread " << t;
+  }
+  for (int s = 0; s < kShapes; ++s) {
+    const auto hit =
+        FpgaPartitioner<Tuple8>(config).Partition(inputs[s].data(),
+                                                  inputs[s].size());
+    ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+    EXPECT_EQ(0, std::memcmp(hit->output.line(0), expected[s].output.line(0),
+                             expected[s].output.total_cls() * kCacheLineSize))
+        << "shape " << s << " after the scribbles";
   }
   const SimCacheStats stats = FpgaPartitioner<Tuple8>::ResultCache().stats();
   EXPECT_EQ(stats.entries, static_cast<uint64_t>(kShapes));
