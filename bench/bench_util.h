@@ -1,6 +1,8 @@
 // Shared helpers for the table/figure reproduction binaries.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -24,6 +26,29 @@ inline void Banner(const char* experiment, const char* paper_ref) {
 /// paper-vs-measured columns.
 inline double DeltaPct(double measured, double paper) {
   return paper != 0 ? (measured - paper) / paper * 100.0 : 0.0;
+}
+
+/// One FNV-1a step: fold the eight bytes of `v` into `h`. The service,
+/// cluster and stream benches chain it into their determinism hashes.
+inline uint64_t Fnv1a(uint64_t h, uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (b * 8)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// The eight svc job size classes in tuples (4Ki..512Ki at full scale),
+/// scaled by FPART_SCALE and never below 512. The service benches map Zipf
+/// rank 1 to the smallest class: many small requests, few huge ones.
+inline std::vector<size_t> SizeClasses() {
+  const double scale = BenchScale();
+  std::vector<size_t> classes;
+  for (size_t base = 4096; base <= 524288; base *= 2) {
+    classes.push_back(
+        std::max<size_t>(512, static_cast<size_t>(base * scale)));
+  }
+  return classes;
 }
 
 /// \brief Snapshot of the cumulative `hw.<phase>.*` registry counters that

@@ -6,10 +6,10 @@
 //
 // Phase 2 produces the same effect through the svc runtime: a stream of
 // FPGA-pinned partition jobs runs against a stream of CPU-pinned
-// contending jobs on one Scheduler with adaptive interference enabled.
-// Whenever a device job executes while CPU workers are busy, the
-// scheduler marks its run link-interfered — so the reported slowdown is a
-// property of the *arbitrated* system, not of a toggled flag.
+// contending jobs on one live-mode Scheduler. Whenever a device job
+// executes while CPU workers are busy, the scheduler marks its run
+// link-interfered — so the reported slowdown is a property of the
+// *arbitrated* system, not of a toggled flag.
 #include <cstdio>
 #include <vector>
 
@@ -62,13 +62,12 @@ double ServiceRun(const Relation<Tuple8>& rel,
                   int cpu_jobs) {
   svc::SchedulerConfig config;
   config.num_workers = 3;  // 1 device job + contenders in parallel
-  config.adaptive_interference = true;
   config.name = "intf";
   svc::Scheduler scheduler(config);
 
   // Interleave the two streams (the queue dispatches FIFO): each device
   // job then runs while the workers around it are chewing on contenders,
-  // which is what makes the adaptive-interference sampling fire.
+  // which is what makes the live-mode interference sampling fire.
   std::vector<svc::JobHandle> contenders;
   std::vector<svc::JobHandle> device;
   svc::JobOptions cpu_opts;

@@ -73,6 +73,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "common/topology.h"
@@ -119,26 +120,8 @@ svc::JobClass DrawClass(Rng* rng) {
   return svc::JobClass::kBestEffort;
 }
 
-// The eight job size classes (tuples), scaled by FPART_SCALE. Zipf rank 1
-// maps to the smallest class: a service sees many small requests and few
-// huge ones.
-std::vector<size_t> SizeClasses() {
-  const double scale = BenchScale();
-  std::vector<size_t> classes;
-  for (size_t base = 4096; base <= 524288; base *= 2) {
-    classes.push_back(
-        std::max<size_t>(512, static_cast<size_t>(base * scale)));
-  }
-  return classes;
-}
-
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (b * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using bench::Fnv1a;
+using bench::SizeClasses;
 
 int Run(const Options& opt) {
   const std::vector<size_t> classes = SizeClasses();

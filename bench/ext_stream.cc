@@ -64,6 +64,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/env.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -107,13 +108,7 @@ struct Options {
   bool sim_cache = true;
 };
 
-uint64_t Fnv1a(uint64_t h, uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (b * 8)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using bench::Fnv1a;
 
 double Percentile(std::vector<uint64_t>* v, double q) {
   if (v->empty()) return 0.0;

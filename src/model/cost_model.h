@@ -84,41 +84,6 @@ class FpgaCostModel {
     return n / TotalRateTuplesPerSec(n, mode, layout, link, interference);
   }
 
-  /// Queue-aware service estimate for the svc scheduler: the FPGA is a
-  /// single exclusive device, so a newly admitted job first waits out the
-  /// backlog of already-placed device work (M/D/1-style, with the backlog
-  /// tracked by the arbiter) and only then streams at P_total. The svc
-  /// placement compares this end-to-end latency against the CPU path and
-  /// falls back to the CPU when the device queueing delay dominates.
-  double PredictLatencySeconds(uint64_t n, OutputMode mode, LayoutMode layout,
-                               LinkKind link, double queue_backlog_seconds,
-                               Interference interference =
-                                   Interference::kAlone) const {
-    return queue_backlog_seconds +
-           PredictSeconds(n, mode, layout, link, interference);
-  }
-
-  /// Multi-FPGA generalization of PredictLatencySeconds: the job queues on
-  /// the least-backlogged device of an N-device pool, so the effective
-  /// queueing delay is the minimum of the per-device backlog clocks.
-  /// `device_backlogs` may be null (empty pool: no queueing delay).
-  double PredictPoolLatencySeconds(uint64_t n, OutputMode mode,
-                                   LayoutMode layout, LinkKind link,
-                                   const double* device_backlogs,
-                                   size_t num_devices,
-                                   Interference interference =
-                                       Interference::kAlone) const {
-    double backlog = 0.0;
-    if (device_backlogs != nullptr && num_devices > 0) {
-      backlog = device_backlogs[0];
-      for (size_t i = 1; i < num_devices; ++i) {
-        if (device_backlogs[i] < backlog) backlog = device_backlogs[i];
-      }
-    }
-    return PredictLatencySeconds(n, mode, layout, link, backlog,
-                                 interference);
-  }
-
   int tuple_width() const { return width_; }
   uint32_t fanout() const { return fanout_; }
 

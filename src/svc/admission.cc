@@ -2,25 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "obs/metrics.h"
 
 namespace fpart::svc {
 namespace {
-
-uint64_t BitsOf(double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-double DoubleOf(uint64_t bits) {
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
 
 struct AdmMetrics {
   obs::Counter* considered;
@@ -61,20 +48,17 @@ AdmMetrics& Metrics() {
               JobClassName(static_cast<JobClass>(c)),
           "jobs", "SLO-infeasible jobs rejected in this class");
     }
-    static const char* kBackendNames[kNumBackends] = {"cpu", "fpga",
-                                                      "hybrid"};
     for (size_t b = 0; b < kNumBackends; ++b) {
       for (size_t s = 0; s < kNumSizeClasses; ++s) {
+        const std::string cell = std::string(BackendName(
+                                     static_cast<Backend>(b))) +
+                                 "." + SizeClassName(s);
         x.correction[b][s] = reg.GetGauge(
-            std::string("svc.adm.correction.") + kBackendNames[b] + "." +
-                SizeClassName(s),
-            "x", "EWMA cost-model correction factor (actual/estimate)");
-        // Same names SvcMetrics registers (scheduler.cc): the registry is
-        // find-or-create, so both sides share one histogram per cell.
+            "svc.adm.correction." + cell, "x",
+            "EWMA cost-model correction factor (actual/estimate)");
         x.place_err[b][s] = reg.GetHistogram(
-            std::string("svc.place.err_pct.") + kBackendNames[b] + "." +
-                SizeClassName(s),
-            "pct", "placement estimate error |run-est|/run*100");
+            "svc.place.err_pct." + cell, "pct",
+            "placement estimate error |run-est|/run*100");
       }
     }
     x.pressure = reg.GetGauge(
@@ -114,23 +98,24 @@ const char* SizeClassName(size_t size_class) {
 
 AdmissionController::AdmissionController(const SloConfig& config,
                                          size_t num_workers,
-                                         size_t num_devices)
+                                         size_t num_devices,
+                                         const BacklogLedger* ledger)
     : config_(config),
       num_workers_(std::max<size_t>(1, num_workers)),
-      num_devices_(std::max<size_t>(1, num_devices)) {
-  for (auto& row : correction_bits_) {
+      num_devices_(std::max<size_t>(1, num_devices)),
+      ledger_(ledger) {
+  for (auto& row : correction_) {
     for (auto& cell : row) {
-      cell.store(BitsOf(1.0), std::memory_order_relaxed);
+      cell.store(1.0, std::memory_order_relaxed);
     }
   }
-  pending_bits_.store(BitsOf(0.0), std::memory_order_relaxed);
 }
 
 double AdmissionController::correction(Backend backend,
                                        size_t size_class) const {
   const size_t b = static_cast<size_t>(backend);
   const size_t s = std::min(size_class, kNumSizeClasses - 1);
-  return DoubleOf(correction_bits_[b][s].load(std::memory_order_relaxed));
+  return correction_[b][s].load(std::memory_order_relaxed);
 }
 
 double AdmissionController::Correct(Backend backend, double demand_tuples,
@@ -162,22 +147,20 @@ void AdmissionController::ObserveRun(Backend backend, double demand_tuples,
     m.place_err[b][s]->Record(static_cast<uint64_t>(err_pct));
   }
 
-  if (!learn || !config_.learn || !config_.enabled ||
-      model_est_seconds <= 0.0) {
+  if (!learn || !config_.enabled || model_est_seconds <= 0.0) {
     return;
   }
   const double ratio = std::clamp(actual_seconds / model_est_seconds,
                                   config_.correction_floor,
                                   config_.correction_cap);
-  std::atomic<uint64_t>& cell = correction_bits_[b][s];
-  uint64_t seen = cell.load(std::memory_order_relaxed);
+  std::atomic<double>& cell = correction_[b][s];
+  double seen = cell.load(std::memory_order_relaxed);
   for (;;) {
     const double next =
-        std::clamp((1.0 - config_.ewma_alpha) * DoubleOf(seen) +
+        std::clamp((1.0 - config_.ewma_alpha) * seen +
                        config_.ewma_alpha * ratio,
                    config_.correction_floor, config_.correction_cap);
-    if (cell.compare_exchange_weak(seen, BitsOf(next),
-                                   std::memory_order_relaxed)) {
+    if (cell.compare_exchange_weak(seen, next, std::memory_order_relaxed)) {
       m.correction[b][s]->Set(next);
       return;
     }
@@ -222,25 +205,8 @@ AdmissionController::Verdict AdmissionController::Judge(
   return v;
 }
 
-void AdmissionController::AddPending(double seconds) {
-  if (seconds <= 0.0) return;
-  uint64_t seen = pending_bits_.load(std::memory_order_relaxed);
-  while (!pending_bits_.compare_exchange_weak(
-      seen, BitsOf(DoubleOf(seen) + seconds), std::memory_order_relaxed)) {
-  }
-}
-
-void AdmissionController::SubPending(double seconds) {
-  if (seconds <= 0.0) return;
-  uint64_t seen = pending_bits_.load(std::memory_order_relaxed);
-  while (!pending_bits_.compare_exchange_weak(
-      seen, BitsOf(std::max(0.0, DoubleOf(seen) - seconds)),
-      std::memory_order_relaxed)) {
-  }
-}
-
 double AdmissionController::pending_seconds() const {
-  return DoubleOf(pending_bits_.load(std::memory_order_relaxed));
+  return ledger_ != nullptr ? ledger_->pending_seconds() : 0.0;
 }
 
 AdmissionController::Pressure AdmissionController::UpdatePressure(

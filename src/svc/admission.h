@@ -1,7 +1,7 @@
 // SLO-aware admission control with online cost-model correction.
 //
 // The Section 4.6/4.8 cost models predict a job's service time before it
-// runs; the svc.place.err_pct.<backend>.<size> histograms (scheduler.cc)
+// runs; the svc.place.err_pct.<backend>.<size> histograms (ObserveRun)
 // measure how wrong those predictions are, online, per (backend,
 // size-class) cell. The AdmissionController closes that loop:
 //
@@ -10,14 +10,16 @@
 //     The corrected estimate is static x EWMA (clamped), so a
 //     systematically mis-calibrated model converges to the observed rate
 //     at 1/alpha-sample granularity instead of staying wrong forever.
-//  2. Feasibility — at admission the controller predicts the job's
+//  2. Feasibility — at admission the scheduler predicts the job's
 //     end-to-end latency: the corrected service estimate on the backend
-//     placement would choose, plus that backend's backlog (live mode:
-//     device-pool clocks / CPU backlog plus the admitted-but-undispatched
-//     pending ledger; deterministic mode: the virtual free clocks, which
-//     make the prediction *exact*). A job whose prediction exceeds its
-//     budget — min(deadline, class SLO) — is rejected with a typed
-//     Status::SloError before it can occupy the queue. Distinct from
+//     placement would choose, plus that backend's wait as the scheduler's
+//     BacklogLedger quotes it (live mode: the wall backlogs, with the
+//     charge of admitted-but-unplaced jobs counted as CPU work ahead;
+//     deterministic mode: the virtual free clocks, which make the
+//     prediction *exact*). The controller judges it: a job whose
+//     prediction exceeds its budget — min(deadline, class SLO) — is
+//     rejected with a typed Status::SloError before it can occupy the
+//     queue (live mode) or any backend clock (deterministic). Distinct from
 //     CapacityError: the queue may have had room, the job just cannot
 //     finish in time.
 //  3. Autoscaling signals — the same backlog arithmetic yields
@@ -39,6 +41,7 @@
 #include <optional>
 
 #include "common/status.h"
+#include "svc/backlog_ledger.h"
 #include "svc/job.h"
 #include "svc/placement.h"
 
@@ -70,9 +73,6 @@ struct SloConfig {
   /// swing predictions by orders of magnitude.
   double correction_floor = 0.25;
   double correction_cap = 4.0;
-  /// Learn the EWMA from completed-job feedback (live mode only;
-  /// deterministic replays never learn, by design).
-  bool learn = true;
   /// Pressure hysteresis band for the autoscaling recommendation:
   /// above `pressure_high` recommend growth, below `pressure_low`
   /// recommend shrink, in between recommend nothing.
@@ -84,8 +84,11 @@ struct SloConfig {
 /// thread-safe (clients admit concurrently in live mode).
 class AdmissionController {
  public:
+  /// `ledger` supplies the pending charge the pressure signal counts as
+  /// CPU work; null counts none. It must outlive the controller.
   AdmissionController(const SloConfig& config, size_t num_workers,
-                      size_t num_devices);
+                      size_t num_devices,
+                      const BacklogLedger* ledger = nullptr);
 
   FPART_DISALLOW_COPY_AND_ASSIGN(AdmissionController);
 
@@ -104,7 +107,7 @@ class AdmissionController {
 
   /// Completed-job feedback. Records |actual - placed_est| / actual into
   /// the svc.place.err_pct histograms (always — this is the error of the
-  /// estimate the backlog clocks were actually charged with) and, when
+  /// estimate the ledger was actually charged with) and, when
   /// learning is enabled, folds actual / model_est — the *raw* static
   /// model's ratio, so the correction converges to the true rate instead
   /// of chasing its own output — into the cell's EWMA and publishes the
@@ -133,11 +136,8 @@ class AdmissionController {
   Verdict Judge(JobClass cls, double deadline_seconds,
                 double predicted_seconds);
 
-  /// Live mode: admitted-but-undispatched corrected work (seconds). Added
-  /// at admit, credited when the dispatcher places the job; the admission
-  /// prediction charges it as queue wait ahead of the candidate.
-  void AddPending(double seconds);
-  void SubPending(double seconds);
+  /// Live mode: admitted-but-unplaced corrected work (seconds), as the
+  /// ledger holds it from admission until the dispatcher places the job.
   double pending_seconds() const;
 
   /// \brief Backlog-derived autoscaling signal.
@@ -182,12 +182,10 @@ class AdmissionController {
   const size_t num_workers_;
   const size_t num_devices_;
 
-  /// Correction factors, bit-cast doubles updated by CAS (completions
-  /// race in live mode; a lost EWMA sample is acceptable, a torn double
-  /// is not).
-  std::array<std::array<std::atomic<uint64_t>, kNumSizeClasses>,
-             kNumBackends>
-      correction_bits_;
+  /// Correction factors, updated by CAS (completions race in live mode;
+  /// a lost EWMA sample is acceptable, a torn double is not).
+  std::array<std::array<std::atomic<double>, kNumSizeClasses>, kNumBackends>
+      correction_;
 
   std::atomic<uint64_t> considered_{0};
   std::atomic<uint64_t> admitted_{0};
@@ -195,7 +193,7 @@ class AdmissionController {
   std::atomic<uint64_t> rejected_deadline_{0};
   std::array<std::atomic<uint64_t>, kNumJobClasses> rejected_by_class_{};
 
-  std::atomic<uint64_t> pending_bits_{0};
+  const BacklogLedger* const ledger_;
 };
 
 }  // namespace fpart::svc

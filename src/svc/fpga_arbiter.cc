@@ -6,7 +6,8 @@
 
 namespace fpart::svc {
 
-DevicePool::DevicePool(size_t num_devices) {
+DevicePool::DevicePool(size_t num_devices, const BacklogLedger* ledger)
+    : ledger_(ledger) {
   devices_.resize(num_devices == 0 ? 1 : num_devices);
   auto& reg = obs::Registry::Global();
   for (size_t i = 0; i < devices_.size(); ++i) {
@@ -15,9 +16,6 @@ DevicePool::DevicePool(size_t num_devices) {
         prefix + ".grants", "grants", "lease grants on this device");
     devices_[i].busy_us_metric = reg.GetCounter(
         prefix + ".busy_us", "us", "wall time jobs held this device lease");
-    devices_[i].backlog_metric =
-        reg.GetGauge(prefix + ".backlog_seconds", "s",
-                     "placed-but-unfinished model time on this device");
   }
 }
 
@@ -26,7 +24,8 @@ int DevicePool::PickFreeDeviceLocked(const JobRecord* rec) const {
   double best_backlog = 0.0;
   for (size_t i = 0; i < devices_.size(); ++i) {
     if (devices_[i].holder != nullptr) continue;
-    double backlog = devices_[i].backlog_seconds;
+    double backlog =
+        ledger_ != nullptr ? ledger_->device_backlog_seconds(i) : 0.0;
     // The job's own placement charge sits on charged_device; discount it
     // so the charge does not repel the job from its predicted device.
     if (rec != nullptr && rec->charged_device == static_cast<int>(i)) {
@@ -86,29 +85,6 @@ void DevicePool::Release(JobRecord* rec) {
 
 void DevicePool::NotifyCancelled() { cv_.notify_all(); }
 
-int DevicePool::ChargeLeastLoaded(double est_seconds) {
-  std::unique_lock<std::mutex> lock(mu_);
-  size_t best = 0;
-  for (size_t i = 1; i < devices_.size(); ++i) {
-    if (devices_[i].backlog_seconds < devices_[best].backlog_seconds) {
-      best = i;
-    }
-  }
-  devices_[best].backlog_seconds += est_seconds;
-  devices_[best].backlog_metric->Set(devices_[best].backlog_seconds);
-  return static_cast<int>(best);
-}
-
-void DevicePool::Credit(int device, double est_seconds) {
-  if (device < 0) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  if (device >= static_cast<int>(devices_.size())) return;
-  Device& d = devices_[device];
-  d.backlog_seconds -= est_seconds;
-  if (d.backlog_seconds < 0.0) d.backlog_seconds = 0.0;
-  d.backlog_metric->Set(d.backlog_seconds);
-}
-
 void DevicePool::RecordBusy(int device, double wall_seconds) {
   if (device < 0 || device >= static_cast<int>(devices_.size())) return;
   if (wall_seconds <= 0.0) return;
@@ -116,33 +92,8 @@ void DevicePool::RecordBusy(int device, double wall_seconds) {
       static_cast<uint64_t>(wall_seconds * 1e6));
 }
 
-double DevicePool::backlog_seconds() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  double min = devices_[0].backlog_seconds;
-  for (const Device& d : devices_) {
-    if (d.backlog_seconds < min) min = d.backlog_seconds;
-  }
-  return min;
-}
-
 double DevicePool::total_backlog_seconds() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  double sum = 0.0;
-  for (const Device& d : devices_) sum += d.backlog_seconds;
-  return sum;
-}
-
-double DevicePool::device_backlog_seconds(size_t device) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return device < devices_.size() ? devices_[device].backlog_seconds : 0.0;
-}
-
-void DevicePool::SnapshotBacklogs(std::vector<double>* out) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  out->resize(devices_.size());
-  for (size_t i = 0; i < devices_.size(); ++i) {
-    (*out)[i] = devices_[i].backlog_seconds;
-  }
+  return ledger_ != nullptr ? ledger_->total_device_backlog_seconds() : 0.0;
 }
 
 uint64_t DevicePool::grants() const {

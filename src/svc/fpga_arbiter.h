@@ -12,7 +12,7 @@
 // ordering the admission queue uses, so a job's position cannot invert
 // between queue and device. The granted waiter takes the *least
 // backlogged free* device (its own placement charge discounted), which
-// keeps the per-device backlog clocks balanced.
+// keeps the per-device backlogs balanced.
 //
 // Cancellation: a waiter whose job's cancel token fires leaves the wait
 // set and returns Status::Cancelled; free devices are handed to the next
@@ -20,15 +20,14 @@
 // The scheduler calls NotifyCancelled() after setting a token so sleeping
 // waiters re-check it.
 //
-// Backlog accounting: each device keeps its own backlog clock — the
-// summed *model-time* estimate of work charged to it at placement but not
-// yet credited back at completion. Placement reads the pool minimum as
-// the device queueing delay (FpgaCostModel::PredictPoolLatencySeconds)
-// and falls back to the CPU when that delay exceeds the CPU estimate.
+// Backlog accounting lives in the scheduler's BacklogLedger
+// (backlog_ledger.h): placement charges each device job's model-time
+// estimate to the least-backlogged device and completion credits it back.
+// The pool only reads those per-device backlogs to pick a device.
 //
-// Observability: device i publishes svc.device.<i>.grants,
-// svc.device.<i>.busy_us and svc.device.<i>.backlog_seconds
-// (docs/observability.md).
+// Observability: device i publishes svc.device.<i>.grants and
+// svc.device.<i>.busy_us; the ledger publishes its
+// svc.device.<i>.backlog_seconds (docs/observability.md).
 #pragma once
 
 #include <condition_variable>
@@ -39,11 +38,11 @@
 #include <vector>
 
 #include "common/status.h"
+#include "svc/backlog_ledger.h"
 #include "svc/job.h"
 
 namespace fpart::obs {
 class Counter;
-class Gauge;
 }  // namespace fpart::obs
 
 namespace fpart::svc {
@@ -51,7 +50,10 @@ namespace fpart::svc {
 class DevicePool {
  public:
   /// \param num_devices  FPGA devices in the pool (0 is clamped to 1).
-  explicit DevicePool(size_t num_devices = 1);
+  /// \param ledger       per-device backlogs for the device pick; null
+  ///                     counts every device as idle. Must outlive the pool.
+  explicit DevicePool(size_t num_devices = 1,
+                      const BacklogLedger* ledger = nullptr);
   FPART_DISALLOW_COPY_AND_ASSIGN(DevicePool);
 
   /// Block until `rec` holds one exclusive device lease (rec->device is
@@ -66,24 +68,11 @@ class DevicePool {
   /// Wake sleeping waiters so they re-check their cancel tokens.
   void NotifyCancelled();
 
-  /// Charge `est_seconds` of placed work to the least-backlogged device's
-  /// clock; returns the device index (the caller records it and credits
-  /// the same device at completion).
-  int ChargeLeastLoaded(double est_seconds);
-  /// Credit work charged by ChargeLeastLoaded (device < 0 is a no-op).
-  void Credit(int device, double est_seconds);
-
   /// Wall time spent holding device leases (svc.device.<i>.busy_us).
   void RecordBusy(int device, double wall_seconds);
 
-  /// Smallest per-device backlog — the queueing delay a new device job
-  /// would see on the pool.
-  double backlog_seconds() const;
-  /// Summed backlog across all devices.
+  /// Summed backlog across all devices (the ledger's; 0 without one).
   double total_backlog_seconds() const;
-  double device_backlog_seconds(size_t device) const;
-  /// Copy the per-device backlog clocks into *out (resized to the pool).
-  void SnapshotBacklogs(std::vector<double>* out) const;
 
   /// Lifetime grant counts, pool-wide and per device.
   uint64_t grants() const;
@@ -96,17 +85,16 @@ class DevicePool {
 
   struct Device {
     const JobRecord* holder = nullptr;
-    double backlog_seconds = 0.0;
     uint64_t grants = 0;
     obs::Counter* grants_metric = nullptr;
     obs::Counter* busy_us_metric = nullptr;
-    obs::Gauge* backlog_metric = nullptr;
   };
 
   /// Least-backlogged free device for `rec` (its own placement charge
   /// discounted), or -1 when every device is held. Lock held.
   int PickFreeDeviceLocked(const JobRecord* rec) const;
 
+  const BacklogLedger* const ledger_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::vector<Device> devices_;

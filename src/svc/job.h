@@ -211,7 +211,7 @@ struct JobRecord {
   double wfq_cost = 1.0;
   /// Device index granted by the DevicePool (-1 before/without a grant).
   int device = -1;
-  /// Device whose backlog clock was charged at placement (-1 for CPU
+  /// Device whose ledger backlog was charged at placement (-1 for CPU
   /// placements and in deterministic mode, where virtual clocks rule).
   int charged_device = -1;
 
@@ -225,20 +225,16 @@ struct JobRecord {
   /// Wall seconds since the scheduler epoch at submission.
   double submit_seconds = 0.0;
   /// Estimated service seconds on the backend the job was placed on
-  /// (model time; the arbiter's backlog accounting uses it). With SLO
-  /// admission enabled this is the EWMA-*corrected* estimate;
-  /// `model_estimate_seconds` keeps the raw static-model value the
-  /// correction learns against.
+  /// (model time; the ledger charges it and the device pick discounts
+  /// it). With SLO admission enabled this is the EWMA-*corrected*
+  /// estimate; `model_estimate_seconds` keeps the raw static-model value
+  /// the correction learns against.
   double placed_estimate_seconds = 0.0;
   double model_estimate_seconds = 0.0;
-  /// Live-mode SLO admission: the corrected-service-time charge the
-  /// controller added to its pending-work ledger at admit, credited back
-  /// when the dispatcher places the job.
+  /// Live-mode SLO admission: the corrected service estimate held as
+  /// pending work in the BacklogLedger from admission until the dispatcher
+  /// places the job.
   double admit_pending_charge = 0.0;
-  /// SLO admission: prediction/budget stamped at the admission decision
-  /// (copied into JobOutcome at completion).
-  double admit_predicted_seconds = 0.0;
-  double admit_budget_seconds = 0.0;
 
   std::mutex mu;
   std::condition_variable cv;

@@ -102,7 +102,6 @@ std::shared_ptr<JobRecord> JobQueue::Pop() {
         ++next_seq_;
         const size_t cls = static_cast<size_t>(rec->cls);
         served_cost_[cls] += rec->wfq_cost;
-        ++popped_[cls];
         return rec;
       }
       if (closed_) {
@@ -143,7 +142,6 @@ std::shared_ptr<JobRecord> JobQueue::Pop() {
         class_start_[best] = best_fin;
         served_cost_[best] += rec->wfq_cost;
         if (contended) contended_cost_[best] += rec->wfq_cost;
-        ++popped_[best];
         return rec;
       }
       if (closed_) return nullptr;
@@ -188,15 +186,6 @@ double JobQueue::served_cost(JobClass cls) const {
 double JobQueue::contended_cost(JobClass cls) const {
   std::unique_lock<std::mutex> lock(mu_);
   return contended_cost_[static_cast<size_t>(cls)];
-}
-
-uint64_t JobQueue::popped(JobClass cls) const {
-  std::unique_lock<std::mutex> lock(mu_);
-  return popped_[static_cast<size_t>(cls)];
-}
-
-double JobQueue::weight(JobClass cls) const {
-  return weights_[static_cast<size_t>(cls)];
 }
 
 }  // namespace fpart::svc

@@ -81,8 +81,6 @@ class JobQueue {
   /// Summed wfq_cost popped from `cls` while *every* class had backlog —
   /// the window over which the WFQ share invariant is defined.
   double contended_cost(JobClass cls) const;
-  uint64_t popped(JobClass cls) const;
-  double weight(JobClass cls) const;
 
  private:
   using OrderKey = std::pair<double, uint64_t>;  // (deadline_key, seq)
@@ -113,7 +111,6 @@ class JobQueue {
   std::array<double, kNumJobClasses> class_start_{};
   std::array<double, kNumJobClasses> served_cost_{};
   std::array<double, kNumJobClasses> contended_cost_{};
-  std::array<uint64_t, kNumJobClasses> popped_{};
 
   size_t LiveDepthLocked() const;
 };

@@ -2,12 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "model/cost_model.h"
 #include "model/cpu_model.h"
 
 namespace fpart::svc {
 namespace {
+
+// A CPU placement runs on the one worker thread that executes the job.
+constexpr size_t kCpuThreads = 1;
 
 PlacementDecision DecidePartition(const PlacementInput& in) {
   PlacementDecision d;
@@ -18,9 +22,8 @@ PlacementDecision DecidePartition(const PlacementInput& in) {
   d.device_seconds = d.est_fpga_seconds;
   d.est_cpu_seconds =
       in.cpu_cost_scale *
-      CpuCostModel::PartitionSeconds(in.n_tuples, in.cpu_threads, in.hash);
-  d.fpga_latency_seconds =
-      EffectiveFpgaBacklogSeconds(in) + d.est_fpga_seconds;
+      CpuCostModel::PartitionSeconds(in.n_tuples, kCpuThreads, in.hash);
+  d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;
   d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
   return d;
 }
@@ -41,30 +44,30 @@ PlacementDecision DecideJoin(const PlacementInput& in) {
       in.cpu_cost_scale *
           CpuCostModel::BuildProbeSeconds(in.r_tuples + in.s_tuples,
                                           in.r_tuples, in.fanout,
-                                          in.cpu_threads);
+                                          kCpuThreads);
   d.est_cpu_seconds =
       in.cpu_cost_scale *
       CpuCostModel::JoinSeconds(in.r_tuples, in.s_tuples, in.fanout,
-                                in.cpu_threads, in.hash);
+                                kCpuThreads, in.hash);
   // The hybrid join is gated on the device from the start (partitioning is
   // its first phase), so the whole path waits out the device backlog.
-  d.fpga_latency_seconds = EffectiveFpgaBacklogSeconds(in) + d.est_fpga_seconds;
+  d.fpga_latency_seconds = in.fpga_backlog_seconds + d.est_fpga_seconds;
   d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
   return d;
 }
 
-}  // namespace
-
-double EffectiveFpgaBacklogSeconds(const PlacementInput& in) {
-  if (in.device_backlogs == nullptr || in.fpga_devices == 0) {
-    return in.fpga_backlog_seconds;
-  }
-  double min = in.device_backlogs[0];
-  for (size_t i = 1; i < in.fpga_devices; ++i) {
-    if (in.device_backlogs[i] < min) min = in.device_backlogs[i];
-  }
-  return min;
+PlacementDecision DecideRebalance(const PlacementInput& in) {
+  PlacementDecision d;
+  d.backend = Backend::kCpu;
+  d.est_cpu_seconds =
+      in.cpu_cost_scale *
+      (static_cast<double>(in.n_tuples) / kRebalanceTuplesPerSecond);
+  d.cpu_latency_seconds = in.cpu_backlog_seconds + d.est_cpu_seconds;
+  d.fpga_latency_seconds = std::numeric_limits<double>::infinity();
+  return d;
 }
+
+}  // namespace
 
 PlacementDecision DecidePlacement(const PlacementInput& in) {
   // Empty jobs never earn a device lease (see placement.h).
@@ -72,9 +75,10 @@ PlacementDecision DecidePlacement(const PlacementInput& in) {
     PlacementDecision d;
     d.backend = Backend::kCpu;
     d.cpu_latency_seconds = in.cpu_backlog_seconds;
-    d.fpga_latency_seconds = EffectiveFpgaBacklogSeconds(in);
+    d.fpga_latency_seconds = in.fpga_backlog_seconds;
     return d;
   }
+  if (in.kind == JobKind::kRebalance) return DecideRebalance(in);
   PlacementDecision d = in.kind == JobKind::kPartition ? DecidePartition(in)
                                                        : DecideJoin(in);
   const Backend device_backend =

@@ -27,6 +27,7 @@ struct PlacementInput {
   JobKind kind = JobKind::kPartition;
 
   /// Partition jobs: input cardinality. Join jobs: build/probe cardinality.
+  /// Rebalance jobs: the tuples the rebuild touches (n_tuples).
   uint64_t n_tuples = 0;
   uint64_t r_tuples = 0;
   uint64_t s_tuples = 0;
@@ -40,20 +41,11 @@ struct PlacementInput {
   HashMethod hash = HashMethod::kMurmur;
   Interference interference = Interference::kAlone;
 
-  /// Threads a CPU placement would get.
-  size_t cpu_threads = 1;
-
-  /// Queueing state: model seconds of placed-but-unfinished work per
-  /// backend (live mode: device-pool/scheduler backlog; deterministic
-  /// mode: virtual clocks minus the job's virtual arrival time).
-  ///
-  /// Multi-FPGA pools hand the per-device backlog clocks in through
-  /// `device_backlogs`/`fpga_devices`; the policy queues the job on the
-  /// least-backlogged device, so the effective FPGA queueing delay is the
-  /// pool minimum. When `device_backlogs` is null the scalar
-  /// `fpga_backlog_seconds` is used (single-device compatibility form).
-  const double* device_backlogs = nullptr;
-  size_t fpga_devices = 1;
+  /// Queueing delay in model seconds on each backend, as the scheduler's
+  /// BacklogLedger quotes it (backlog_ledger.h): wall time, the CPU
+  /// backlog over the active workers and the least-backlogged device's
+  /// backlog; virtual time, the earliest free worker/device clock minus
+  /// the job's arrival.
   double fpga_backlog_seconds = 0.0;
   double cpu_backlog_seconds = 0.0;
 
@@ -68,10 +60,6 @@ struct PlacementInput {
   double cpu_cost_scale = 1.0;
   double device_cost_scale = 1.0;
 };
-
-/// The FPGA queueing delay DecidePlacement charges: min over the
-/// per-device backlog clocks, or the scalar fallback.
-double EffectiveFpgaBacklogSeconds(const PlacementInput& in);
 
 /// The policy's verdict plus the estimates that produced it (the scheduler
 /// records them for backlog accounting and observability).
@@ -96,10 +84,17 @@ struct PlacementDecision {
 /// is nominally slower (it frees the host cores).
 inline constexpr double kPlacementTieEpsilon = 0.05;
 
+/// Rebalance (layout maintenance) rebuilds are a memcpy-speed snapshot plus
+/// one scatter pass; a flat tuple rate is close enough for backlog
+/// accounting (the svc.place.err_pct histograms measure how close).
+inline constexpr double kRebalanceTuplesPerSecond = 250e6;
+
 /// Zero-tuple jobs (empty relations on both sides) run on the CPU with
 /// zero estimates: there is nothing to stream, so a device lease
 /// round-trip is pure overhead — and the cost model's rate equations are
-/// undefined at n = 0.
+/// undefined at n = 0. Rebalance jobs always run on the CPU: there is no
+/// device kernel for a rebuild of host-resident buckets, so their device
+/// latency is +inf.
 PlacementDecision DecidePlacement(const PlacementInput& in);
 
 }  // namespace fpart::svc

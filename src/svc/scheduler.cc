@@ -46,8 +46,6 @@ struct SvcMetrics {
   obs::Histogram* total_us;
   obs::Histogram* lease_wait_us;
   obs::Gauge* queue_depth;
-  obs::Gauge* fpga_backlog;
-  obs::Gauge* cpu_backlog;
   obs::Counter* class_submitted[kNumJobClasses];
   obs::Counter* class_completed[kNumJobClasses];
   obs::Counter* class_served_cost[kNumJobClasses];
@@ -92,10 +90,6 @@ SvcMetrics& Metrics() {
                                        "wait for the exclusive FPGA lease");
     x.queue_depth = reg.GetGauge("svc.queue.depth", "jobs",
                                  "admitted jobs awaiting dispatch");
-    x.fpga_backlog = reg.GetGauge("svc.fpga.backlog_seconds", "s",
-                                  "placed-but-unfinished device model time");
-    x.cpu_backlog = reg.GetGauge("svc.cpu.backlog_seconds", "s",
-                                 "placed-but-unfinished CPU model time");
     for (size_t c = 0; c < kNumJobClasses; ++c) {
       const std::string prefix =
           std::string("svc.class.") + JobClassName(static_cast<JobClass>(c));
@@ -195,11 +189,12 @@ Scheduler::Scheduler(SchedulerConfig config)
     : config_(std::move(config)),
       queue_(config_.queue_capacity, config_.deterministic,
              config_.class_weights),
-      pool_(config_.fpga_devices),
+      ledger_(config_.deterministic, config_.num_workers,
+              config_.fpga_devices),
+      pool_(config_.fpga_devices, &ledger_),
       epoch_(std::chrono::steady_clock::now()),
       paused_(config_.start_paused) {
   if (config_.num_workers == 0) config_.num_workers = 1;
-  if (config_.cpu_threads_per_job == 0) config_.cpu_threads_per_job = 1;
   config_.fpga_devices = pool_.num_devices();  // 0 clamps to 1
   // Autoscaling headroom: live mode may park workers beyond num_workers;
   // deterministic mode pins the worker count (virtual clocks are sized
@@ -208,18 +203,8 @@ Scheduler::Scheduler(SchedulerConfig config)
     config_.max_workers = config_.num_workers;
   }
   admission_ = std::make_unique<AdmissionController>(
-      config_.slo, config_.num_workers, pool_.num_devices());
+      config_.slo, config_.num_workers, pool_.num_devices(), &ledger_);
   active_workers_.store(config_.num_workers, std::memory_order_release);
-  virt_device_free_.assign(pool_.num_devices(), 0.0);
-  virt_worker_free_.assign(config_.num_workers, 0.0);
-  if (config_.cpu_threads_per_job > 1) {
-    worker_pools_.resize(config_.max_workers);
-    for (size_t w = 0; w < config_.max_workers; ++w) {
-      worker_pools_[w] = std::make_unique<ThreadPool>(
-          config_.cpu_threads_per_job,
-          config_.name + "-j" + std::to_string(w), config_.affinity);
-    }
-  }
   worker_pins_ = Topology::Host().PinPlan(config_.affinity,
                                           config_.max_workers);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
@@ -242,30 +227,16 @@ bool Scheduler::SetActiveWorkers(size_t n) {
 
 AdmissionController::Pressure Scheduler::slo_pressure() {
   return admission_->UpdatePressure(
-      cpu_backlog_seconds(), pool_.total_backlog_seconds(), active_workers(),
-      config_.max_workers, pool_.num_devices());
+      ledger_.cpu_backlog_seconds(), ledger_.total_device_backlog_seconds(),
+      active_workers(), config_.max_workers, pool_.num_devices());
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
-
-double Scheduler::virtual_makespan_seconds() const {
-  // virt_*_free_ are dispatcher-only; callers read them after Shutdown()
-  // joined the dispatcher, which orders these loads after its last write.
-  double makespan = 0.0;
-  for (double t : virt_device_free_) makespan = std::max(makespan, t);
-  for (double t : virt_worker_free_) makespan = std::max(makespan, t);
-  return makespan;
-}
 
 double Scheduler::NowSeconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        epoch_)
       .count();
-}
-
-double Scheduler::cpu_backlog_seconds() const {
-  std::unique_lock<std::mutex> lock(ready_mu_);
-  return cpu_backlog_seconds_;
 }
 
 Result<JobHandle> Scheduler::Submit(const PartitionJobSpec& spec,
@@ -277,7 +248,7 @@ Result<JobHandle> Scheduler::Submit(const PartitionJobSpec& spec,
   rec->kind = JobKind::kPartition;
   rec->partition = spec;
   rec->opts = opts;
-  return SubmitRecord(std::move(rec));
+  return SubmitRecord(std::move(rec), spec.input->size());
 }
 
 Result<JobHandle> Scheduler::Submit(const JoinJobSpec& spec,
@@ -289,7 +260,7 @@ Result<JobHandle> Scheduler::Submit(const JoinJobSpec& spec,
   rec->kind = JobKind::kJoin;
   rec->join = spec;
   rec->opts = opts;
-  return SubmitRecord(std::move(rec));
+  return SubmitRecord(std::move(rec), spec.r->size() + spec.s->size());
 }
 
 Result<JobHandle> Scheduler::Submit(const RebalanceJobSpec& spec,
@@ -301,11 +272,11 @@ Result<JobHandle> Scheduler::Submit(const RebalanceJobSpec& spec,
   rec->kind = JobKind::kRebalance;
   rec->rebalance = spec;
   rec->opts = opts;
-  if (rec->opts.pinned.has_value()) rec->opts.pinned = Backend::kCpu;
-  return SubmitRecord(std::move(rec));
+  return SubmitRecord(std::move(rec), spec.cost_tuples);
 }
 
-Result<JobHandle> Scheduler::SubmitRecord(std::shared_ptr<JobRecord> rec) {
+Result<JobHandle> Scheduler::SubmitRecord(std::shared_ptr<JobRecord> rec,
+                                          uint64_t demand_tuples) {
   if (shutdown_.load(std::memory_order_acquire)) {
     return Status::InvalidArgument("scheduler is shut down");
   }
@@ -314,18 +285,6 @@ Result<JobHandle> Scheduler::SubmitRecord(std::shared_ptr<JobRecord> rec) {
                  ? rec->opts.arrival_seq
                  : next_seq_.fetch_add(1, std::memory_order_relaxed);
   rec->cls = rec->opts.job_class;
-  uint64_t demand_tuples = 1;
-  switch (rec->kind) {
-    case JobKind::kPartition:
-      demand_tuples = rec->partition.input->size();
-      break;
-    case JobKind::kJoin:
-      demand_tuples = rec->join.r->size() + rec->join.s->size();
-      break;
-    case JobKind::kRebalance:
-      demand_tuples = rec->rebalance.cost_tuples;
-      break;
-  }
   rec->wfq_cost = std::max(1.0, static_cast<double>(demand_tuples));
   rec->submit_seconds = NowSeconds();
   if (rec->opts.deadline_seconds > 0.0) {
@@ -334,30 +293,20 @@ Result<JobHandle> Scheduler::SubmitRecord(std::shared_ptr<JobRecord> rec) {
   if (config_.slo.enabled && !config_.deterministic) {
     // Live-mode SLO admission runs here, synchronously, so a rejected
     // client learns before the job ever occupies the queue. Deterministic
-    // mode judges dispatcher-side (PlaceJob) instead, where the virtual
-    // clocks make the prediction exact.
-    Status admit = AdmitLive(rec.get());
-    if (!admit.ok()) {
-      JobOutcome out;
-      out.backend = rec->outcome.backend;
-      out.admit_predicted_seconds = rec->admit_predicted_seconds;
-      out.admit_budget_seconds = rec->admit_budget_seconds;
-      out.status = admit;
-      CompleteJob(rec, JobState::kRejected, admit, out);
-      return admit;
-    }
+    // mode judges dispatcher-side instead, where the virtual clocks make
+    // the prediction exact.
+    FPART_RETURN_NOT_OK(Place(rec, /*admit=*/true));
   }
   JobHandle handle(rec);
   Status pushed = queue_.Push(rec);
   if (!pushed.ok()) {
+    // Whether the queue was full or closed by a racing Shutdown, the
+    // admission charge must not outlive the job.
+    ledger_.Credit(BacklogLedger::Account::kPending, -1,
+                   rec->admit_pending_charge);
     if (pushed.IsCapacityError()) {
-      // The admission charge must not leak when the queue sheds the job
-      // after the controller already admitted it.
-      admission_->SubPending(rec->admit_pending_charge);
       Metrics().shed->Add();
-      JobOutcome out;
-      out.status = pushed;
-      CompleteJob(rec, JobState::kShed, pushed, out);
+      CompleteJob(rec, JobState::kShed, pushed, JobOutcome{});
     }
     return pushed;
   }
@@ -386,44 +335,41 @@ void Scheduler::Shutdown() {
   if (was) return;
   queue_.Close();
   Resume();  // a paused dispatcher must still drain
+  // The dispatcher sets dispatch_done_ on its way out, releasing the
+  // workers once they have drained the ready deque.
   if (dispatcher_.joinable()) dispatcher_.join();
-  {
-    std::unique_lock<std::mutex> lock(ready_mu_);
-    dispatch_done_ = true;
-  }
-  ready_cv_.notify_all();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
   workers_.clear();
-  worker_pools_.clear();
 }
-
-// Rebalance rebuilds are a memcpy-speed snapshot + one scatter pass; a
-// flat tuple rate is close enough for backlog accounting (the err_pct
-// histograms below tell us how close).
-constexpr double kRebalanceTuplesPerSecond = 250e6;
 
 void Scheduler::FillPlacementRequest(const JobRecord& rec,
                                      PlacementInput* in) const {
   in->kind = rec.kind;
-  in->cpu_threads = config_.cpu_threads_per_job;
-  if (rec.kind == JobKind::kPartition) {
-    const PartitionRequest& req = rec.partition.request;
-    in->n_tuples = rec.partition.input->size();
-    in->fanout = req.fanout;
-    in->mode = req.output_mode;
-    in->layout = req.layout;
-    in->link = req.link;
-    in->hash = req.hash;
-    in->interference = req.interference;
-  } else {
-    in->r_tuples = rec.join.r->size();
-    in->s_tuples = rec.join.s->size();
-    in->fanout = rec.join.fanout;
-    in->hash = rec.join.hash;
-    in->mode = OutputMode::kHist;  // the hybrid path partitions HIST-mode
-    in->link = LinkKind::kXeonFpga;
+  switch (rec.kind) {
+    case JobKind::kPartition: {
+      const PartitionRequest& req = rec.partition.request;
+      in->n_tuples = rec.partition.input->size();
+      in->fanout = req.fanout;
+      in->mode = req.output_mode;
+      in->layout = req.layout;
+      in->link = req.link;
+      in->hash = req.hash;
+      in->interference = req.interference;
+      break;
+    }
+    case JobKind::kJoin:
+      in->r_tuples = rec.join.r->size();
+      in->s_tuples = rec.join.s->size();
+      in->fanout = rec.join.fanout;
+      in->hash = rec.join.hash;
+      in->mode = OutputMode::kHist;  // the hybrid path partitions HIST-mode
+      in->link = LinkKind::kXeonFpga;
+      break;
+    case JobKind::kRebalance:
+      in->n_tuples = rec.rebalance.cost_tuples;
+      break;
   }
   // EWMA-corrected cost plumbing: scale each side's static estimate by the
   // learned (backend, size-class) factor. 1.0 until learned — and always
@@ -436,6 +382,9 @@ void Scheduler::FillPlacementRequest(const JobRecord& rec,
 }
 
 std::optional<Backend> Scheduler::ForcedBackend(const JobRecord& rec) const {
+  // A rebuild manipulates host-resident buckets; there is no device kernel
+  // for it, so neither pins nor the policy can move it off the CPU.
+  if (rec.kind == JobKind::kRebalance) return Backend::kCpu;
   const Backend device_backend =
       rec.kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid;
   if (rec.opts.pinned.has_value()) {
@@ -456,212 +405,69 @@ std::optional<Backend> Scheduler::ForcedBackend(const JobRecord& rec) const {
   return std::nullopt;
 }
 
-Status Scheduler::AdmitLive(JobRecord* rec) {
-  // Predict the job's end-to-end latency with the same arithmetic the
-  // dispatcher will use: corrected service estimate on the backend
-  // placement would pick right now, plus the backlog ahead of it. The
-  // pending ledger stands in for admitted-but-undispatched work that the
-  // backlog clocks have not been charged with yet.
-  const double pending = admission_->pending_seconds();
-  const size_t workers = std::max<size_t>(1, active_workers());
-  const double cpu_wait =
-      (cpu_backlog_seconds() + pending) / static_cast<double>(workers);
-
-  Backend backend = Backend::kCpu;
-  double est = 0.0;
-  double predicted = 0.0;
-  if (rec->kind == JobKind::kRebalance) {
-    const double model = static_cast<double>(rec->rebalance.cost_tuples) /
-                         kRebalanceTuplesPerSecond;
-    est = admission_->Correct(Backend::kCpu, rec->wfq_cost, model);
-    predicted = cpu_wait + est;
-  } else {
-    PlacementInput in;
-    FillPlacementRequest(*rec, &in);
-    in.fpga_devices = pool_.num_devices();
-    in.fpga_backlog_seconds = pool_.backlog_seconds();
-    in.cpu_backlog_seconds = cpu_wait;
-    const PlacementDecision d = DecidePlacement(in);
-    backend = d.backend;
-    if (auto forced = ForcedBackend(*rec)) backend = *forced;
-    if (backend == Backend::kCpu) {
-      est = d.est_cpu_seconds;
-      predicted = cpu_wait + est;
-    } else {
-      est = d.est_fpga_seconds;
-      predicted = in.fpga_backlog_seconds + est;
-    }
-  }
-  rec->outcome.backend = backend;
-
-  const AdmissionController::Verdict verdict =
-      admission_->Judge(rec->cls, rec->opts.deadline_seconds, predicted);
-  rec->admit_predicted_seconds = verdict.predicted_seconds;
-  rec->admit_budget_seconds =
-      std::isfinite(verdict.budget_seconds) ? verdict.budget_seconds : 0.0;
-  if (!verdict.admit) return verdict.status;
-  rec->admit_pending_charge = est;
-  admission_->AddPending(est);
-  return Status::OK();
-}
-
-bool Scheduler::PlaceJob(const std::shared_ptr<JobRecord>& recp) {
+Status Scheduler::Place(const std::shared_ptr<JobRecord>& recp, bool admit) {
+  using Account = BacklogLedger::Account;
   JobRecord* rec = recp.get();
-  // The job is leaving the queue: its admission charge graduates into the
-  // real backlog clocks charged below.
-  admission_->SubPending(rec->admit_pending_charge);
-  const double t_arrival = config_.deterministic
-                               ? rec->opts.virtual_arrival_seconds
-                               : rec->submit_seconds;
-
-  if (rec->kind == JobKind::kRebalance) {
-    // Always the host CPU: the rebuild manipulates host-resident buckets;
-    // there is no device kernel for it. Policy and pins are ignored, but
-    // the backlog/virtual-clock charging below matches the CPU path.
-    const double model = static_cast<double>(rec->rebalance.cost_tuples) /
-                         kRebalanceTuplesPerSecond;
-    const double est =
-        admission_->Correct(Backend::kCpu, rec->wfq_cost, model);
-    rec->outcome.backend = Backend::kCpu;
-    rec->model_estimate_seconds = model;
-    rec->placed_estimate_seconds = est;
-    if (config_.deterministic) {
-      const size_t w = static_cast<size_t>(
-          std::min_element(virt_worker_free_.begin(),
-                           virt_worker_free_.end()) -
-          virt_worker_free_.begin());
-      const double start = std::max(t_arrival, virt_worker_free_[w]);
-      if (config_.slo.enabled) {
-        const AdmissionController::Verdict verdict = admission_->Judge(
-            rec->cls, rec->opts.deadline_seconds, (start - t_arrival) + est);
-        rec->admit_predicted_seconds = verdict.predicted_seconds;
-        rec->admit_budget_seconds = std::isfinite(verdict.budget_seconds)
-                                        ? verdict.budget_seconds
-                                        : 0.0;
-        if (!verdict.admit) {
-          JobOutcome out;
-          out.backend = Backend::kCpu;
-          out.admit_predicted_seconds = rec->admit_predicted_seconds;
-          out.admit_budget_seconds = rec->admit_budget_seconds;
-          CompleteJob(recp, JobState::kRejected, verdict.status, out);
-          return false;
-        }
-      }
-      virt_worker_free_[w] = start + est;
-      rec->outcome.virtual_queue_seconds = start - t_arrival;
-      rec->outcome.virtual_run_seconds = est;
-    } else {
-      std::unique_lock<std::mutex> lock(ready_mu_);
-      cpu_backlog_seconds_ += est;
-      Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-    }
-    Metrics().placed_cpu->Add();
-    return true;
+  // A job leaving the queue: its admission charge graduates into the
+  // backend charge below.
+  if (!admit) {
+    ledger_.Credit(Account::kPending, -1, rec->admit_pending_charge);
   }
-
+  const double arrival = ledger_.ArrivalSeconds(*rec);
+  const BacklogLedger::Quote quote =
+      ledger_.QuoteWaits(arrival, active_workers(), /*with_pending=*/admit);
   PlacementInput in;
   FillPlacementRequest(*rec, &in);
-  size_t virt_worker = 0;
-  size_t virt_device = 0;
-  if (config_.deterministic) {
-    virt_worker = static_cast<size_t>(
-        std::min_element(virt_worker_free_.begin(), virt_worker_free_.end()) -
-        virt_worker_free_.begin());
-    // A device job queues on the least-loaded virtual device clock.
-    virt_device = static_cast<size_t>(
-        std::min_element(virt_device_free_.begin(), virt_device_free_.end()) -
-        virt_device_free_.begin());
-    in.fpga_devices = virt_device_free_.size();
-    in.fpga_backlog_seconds =
-        std::max(0.0, virt_device_free_[virt_device] - t_arrival);
-    in.cpu_backlog_seconds =
-        std::max(0.0, virt_worker_free_[virt_worker] - t_arrival);
-  } else {
-    pool_.SnapshotBacklogs(&backlog_scratch_);
-    in.device_backlogs = backlog_scratch_.data();
-    in.fpga_devices = backlog_scratch_.size();
-    in.fpga_backlog_seconds = pool_.backlog_seconds();
-    std::unique_lock<std::mutex> lock(ready_mu_);
-    in.cpu_backlog_seconds =
-        cpu_backlog_seconds_ /
-        static_cast<double>(std::max<size_t>(1, active_workers()));
-  }
-
-  PlacementDecision d = DecidePlacement(in);
-  const Backend device_backend =
-      rec->kind == JobKind::kPartition ? Backend::kFpga : Backend::kHybrid;
-  Backend backend = d.backend;
-  if (auto forced = ForcedBackend(*rec)) backend = *forced;
-  if (backend != Backend::kCpu) backend = device_backend;
-
+  in.cpu_backlog_seconds = quote.cpu_wait;
+  in.fpga_backlog_seconds = quote.device_wait;
+  const PlacementDecision d = DecidePlacement(in);
+  const std::optional<Backend> forced = ForcedBackend(*rec);
+  const Backend backend = forced.value_or(d.backend);
+  const bool on_device = backend != Backend::kCpu;
+  const double service = on_device ? d.est_fpga_seconds : d.est_cpu_seconds;
   rec->outcome.backend = backend;
-  // The estimate the backlog clocks are charged with is the corrected one
-  // (the cost scales already folded it in); keep the raw static-model
-  // value alongside so the EWMA learns actual/model, not its own output.
-  const double scale =
-      backend == Backend::kCpu ? in.cpu_cost_scale : in.device_cost_scale;
-  rec->placed_estimate_seconds =
-      backend == Backend::kCpu ? d.est_cpu_seconds : d.device_seconds;
-  rec->model_estimate_seconds =
-      scale > 0.0 ? rec->placed_estimate_seconds / scale
-                  : rec->placed_estimate_seconds;
 
-  // Charge the chosen backend's backlog (credited back at completion) and,
-  // in deterministic mode, advance the virtual clocks. The virtual start
-  // and service time are stamped on the outcome: they are the replay's
-  // noise-free latency decomposition (JobOutcome::virtual_*_seconds).
-  if (config_.deterministic) {
-    // The exact virtual start the charge below would commit — which makes
-    // the admission prediction exact: predicted == virtual_queue +
-    // virtual_run, so an admitted job can never miss a budget its
-    // prediction fit (the zero-admitted-then-missed invariant the
-    // svc_admission tests assert).
-    double start;
-    double service;
-    if (backend == Backend::kCpu) {
-      start = std::max(t_arrival, virt_worker_free_[virt_worker]);
-      service = d.est_cpu_seconds;
-    } else {
-      // Device jobs hold a worker for the whole run and their device for
-      // the lease phase; the chosen device's clock gates the start.
-      start = std::max({t_arrival, virt_device_free_[virt_device],
-                        virt_worker_free_[virt_worker]});
-      service = d.est_fpga_seconds;
+  if (admit || (config_.slo.enabled && config_.deterministic)) {
+    // Predict the end-to-end latency with the same arithmetic placement
+    // uses. In deterministic mode the quoted wait is the exact virtual
+    // start the charge below commits, so predicted == virtual_queue +
+    // virtual_run and an admitted job can never miss a budget its
+    // prediction fit (the zero-admitted-then-missed invariant).
+    const AdmissionController::Verdict verdict = admission_->Judge(
+        rec->cls, rec->opts.deadline_seconds, quote.Wait(on_device) + service);
+    rec->outcome.admit_predicted_seconds = verdict.predicted_seconds;
+    rec->outcome.admit_budget_seconds =
+        std::isfinite(verdict.budget_seconds) ? verdict.budget_seconds : 0.0;
+    if (!verdict.admit) {
+      // Nothing was charged, so the rest of the stream sees exactly what
+      // it would without this job.
+      CompleteJob(recp, JobState::kRejected, verdict.status, rec->outcome);
+      return verdict.status;
     }
-    if (config_.slo.enabled) {
-      const AdmissionController::Verdict verdict = admission_->Judge(
-          rec->cls, rec->opts.deadline_seconds, (start - t_arrival) + service);
-      rec->admit_predicted_seconds = verdict.predicted_seconds;
-      rec->admit_budget_seconds = std::isfinite(verdict.budget_seconds)
-                                      ? verdict.budget_seconds
-                                      : 0.0;
-      if (!verdict.admit) {
-        // Rejected: no clock was advanced, so the rest of the replay is
-        // exactly what a run without this job would compute.
-        JobOutcome out;
-        out.backend = backend;
-        out.admit_predicted_seconds = rec->admit_predicted_seconds;
-        out.admit_budget_seconds = rec->admit_budget_seconds;
-        CompleteJob(recp, JobState::kRejected, verdict.status, out);
-        return false;
-      }
-    }
-    if (backend == Backend::kCpu) {
-      virt_worker_free_[virt_worker] = start + service;
-    } else {
-      virt_device_free_[virt_device] = start + d.device_seconds;
-      virt_worker_free_[virt_worker] = start + service;
-    }
-    rec->outcome.virtual_queue_seconds = start - t_arrival;
-    rec->outcome.virtual_run_seconds = service;
-  } else if (backend == Backend::kCpu) {
-    std::unique_lock<std::mutex> lock(ready_mu_);
-    cpu_backlog_seconds_ += d.est_cpu_seconds;
-    Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-  } else {
-    rec->charged_device = pool_.ChargeLeastLoaded(d.device_seconds);
-    Metrics().fpga_backlog->Set(pool_.backlog_seconds());
   }
+  if (admit) {
+    rec->admit_pending_charge = service;
+    ledger_.Charge(Account::kPending, arrival, service);
+    return Status::OK();
+  }
+
+  // The ledger is charged the corrected estimate (the cost scales already
+  // folded it in); keep the raw static-model value alongside so the EWMA
+  // learns actual/model, not its own output.
+  const double scale = on_device ? in.device_cost_scale : in.cpu_cost_scale;
+  rec->placed_estimate_seconds = on_device ? d.device_seconds : service;
+  rec->model_estimate_seconds = scale > 0.0
+                                    ? rec->placed_estimate_seconds / scale
+                                    : rec->placed_estimate_seconds;
+  // Credited back at completion. In deterministic mode the slot is the
+  // job's virtual start and service time: the replay's noise-free latency
+  // decomposition (JobOutcome::virtual_*_seconds).
+  const BacklogLedger::Slot slot =
+      ledger_.Charge(on_device ? Account::kDevice : Account::kCpu, arrival,
+                     service, d.device_seconds);
+  rec->charged_device = slot.device;
+  rec->outcome.virtual_queue_seconds = slot.queue_seconds;
+  rec->outcome.virtual_run_seconds = slot.run_seconds;
 
   auto& m = Metrics();
   switch (backend) {
@@ -675,11 +481,8 @@ bool Scheduler::PlaceJob(const std::shared_ptr<JobRecord>& recp) {
       m.placed_hybrid->Add();
       break;
   }
-  if (d.tie && !rec->opts.pinned.has_value() &&
-      config_.policy == PlacementPolicy::kAdaptive) {
-    m.placed_ties->Add();
-  }
-  return true;
+  if (d.tie && !forced.has_value()) m.placed_ties->Add();
+  return Status::OK();
 }
 
 void Scheduler::DispatcherLoop() {
@@ -694,7 +497,7 @@ void Scheduler::DispatcherLoop() {
     if (rec == nullptr) break;  // closed and drained
     Metrics().class_served_cost[static_cast<size_t>(rec->cls)]->Add(
         static_cast<uint64_t>(rec->wfq_cost));
-    if (!PlaceJob(rec)) continue;  // rejected by SLO admission, completed
+    if (!Place(rec, /*admit=*/false).ok()) continue;  // rejected, completed
     {
       std::unique_lock<std::mutex> lock(ready_mu_);
       ready_.push_back(std::move(rec));
@@ -714,8 +517,7 @@ void Scheduler::DispatcherLoop() {
 void Scheduler::WorkerLoop(size_t index) {
   NameCurrentThread(config_.name + "-wkr", index);
   {
-    // Pin the job worker itself (its pool, if any, was pinned by its own
-    // constructor) and publish its identity for trace attribution.
+    // Pin the job worker and publish its identity for trace attribution.
     const Topology::Pin& pin = worker_pins_[index];
     const bool pinned = PinCurrentThreadToCpu(pin.cpu);
     WorkerContext ctx;
@@ -747,12 +549,49 @@ void Scheduler::WorkerLoop(size_t index) {
       rec = std::move(ready_.front());
       ready_.pop_front();
     }
-    ExecuteJob(rec, index);
+    ExecuteJob(rec);
   }
 }
 
-void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
-                           size_t worker) {
+template <typename Work>
+auto Scheduler::OnCpu(Work&& work) {
+  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
+  const double t0 = NowSeconds();
+  auto result = work();
+  Metrics().cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
+  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
+  return result;
+}
+
+template <typename Run>
+Status Scheduler::WithDeviceLease(JobRecord* rec, Run&& run) {
+  auto& m = Metrics();
+  const double wait0 = NowSeconds();
+  FPART_RETURN_NOT_OK(pool_.Acquire(rec));
+  if (Failpoint("svc.device.run")) {
+    pool_.Release(rec);
+    return Status::Internal("failpoint: forced device-run failure");
+  }
+  const int device = rec->device;
+  const double lease0 = NowSeconds();
+  m.lease_wait_us->Record(ToMicros(lease0 - wait0));
+  // Live mode: a device run overlapping host work shares the link with it
+  // (Figure 2's "interfered" curves). Deterministic replays keep each
+  // request's own interference setting.
+  run(!config_.deterministic &&
+      cpu_busy_.load(std::memory_order_relaxed) > 0);
+  // Stamp before Release: once the lease is handed on, this thread may be
+  // descheduled for a while and a late stamp would overlap the next
+  // holder's window (busy_us must never exceed wall time per device).
+  const double lease_end = NowSeconds();
+  pool_.Release(rec);
+  const double lease_seconds = lease_end - lease0;
+  m.fpga_busy_us->Add(ToMicros(lease_seconds));
+  pool_.RecordBusy(device, lease_seconds);
+  return Status::OK();
+}
+
+void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec) {
   auto& m = Metrics();
   const double start_seconds = NowSeconds();
   const double queue_seconds = start_seconds - rec->submit_seconds;
@@ -768,13 +607,10 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
                          obs::kHostTracePid, obs::CurrentTraceTid());
   }
 
-  JobOutcome out;
-  out.backend = rec->outcome.backend;
+  // Placement stamped the backend, the virtual times and the admission
+  // verdict; the worker is the record's only writer until completion.
+  JobOutcome out = rec->outcome;
   out.queue_seconds = queue_seconds;
-  out.virtual_queue_seconds = rec->outcome.virtual_queue_seconds;
-  out.virtual_run_seconds = rec->outcome.virtual_run_seconds;
-  out.admit_predicted_seconds = rec->admit_predicted_seconds;
-  out.admit_budget_seconds = rec->admit_budget_seconds;
 
   Status status;
   if (rec->cancel.load(std::memory_order_relaxed)) {
@@ -784,13 +620,13 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
     obs::TraceSpan span("svc.run", "svc");
     switch (rec->kind) {
       case JobKind::kPartition:
-        status = RunPartitionJob(rec.get(), worker, &out);
+        status = RunPartitionJob(rec.get(), &out);
         break;
       case JobKind::kJoin:
-        status = RunJoinJob(rec.get(), worker, &out);
+        status = RunJoinJob(rec.get(), &out);
         break;
       case JobKind::kRebalance:
-        status = RunRebalanceJob(rec.get(), &out);
+        status = OnCpu([&] { return rec->rebalance.work(&rec->cancel); });
         break;
     }
   }
@@ -807,19 +643,11 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
                            /*learn=*/!config_.deterministic);
   }
 
-  // Credit the backlog charged at placement.
-  if (!config_.deterministic) {
-    if (out.backend == Backend::kCpu) {
-      std::unique_lock<std::mutex> lock(ready_mu_);
-      cpu_backlog_seconds_ =
-          std::max(0.0, cpu_backlog_seconds_ - rec->placed_estimate_seconds);
-      Metrics().cpu_backlog->Set(cpu_backlog_seconds_);
-    } else {
-      pool_.Credit(rec->charged_device, rec->placed_estimate_seconds);
-      Metrics().fpga_backlog->Set(pool_.backlog_seconds());
-    }
-    if (config_.slo.enabled) slo_pressure();
-  }
+  // Credit the backlog charged at placement (a no-op in virtual time).
+  ledger_.Credit(out.backend == Backend::kCpu ? BacklogLedger::Account::kCpu
+                                              : BacklogLedger::Account::kDevice,
+                 rec->charged_device, rec->placed_estimate_seconds);
+  if (config_.slo.enabled && !config_.deterministic) slo_pressure();
 
   JobState state = JobState::kCompleted;
   if (status.IsCancelled()) {
@@ -830,60 +658,27 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec,
   CompleteJob(rec, state, std::move(status), out);
 }
 
-Status Scheduler::RunPartitionJob(JobRecord* rec, size_t worker,
-                                  JobOutcome* out) {
+Status Scheduler::RunPartitionJob(JobRecord* rec, JobOutcome* out) {
   PartitionRequest req = rec->partition.request;
   req.cancel = &rec->cancel;
-  auto& m = Metrics();
-
+  Result<PartitionReport<Tuple8>> result =
+      Status::Internal("partition job did not run");
   if (out->backend == Backend::kCpu) {
     req.engine = Engine::kCpu;
-    req.num_threads = config_.cpu_threads_per_job;
-    req.pool = worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
-    cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-    const double t0 = NowSeconds();
-    auto result = RunPartition<Tuple8>(req, *rec->partition.input);
-    m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-    cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-    FPART_RETURN_NOT_OK(result.status());
-    const auto& report = result.ValueOrDie();
-    out->device_seconds = 0.0;
-    std::vector<uint64_t> counts(report.output.num_partitions());
-    for (size_t p = 0; p < counts.size(); ++p) {
-      counts[p] = report.output.part(p).num_tuples;
-    }
-    out->checksum = HistogramChecksum(counts.data(), counts.size());
-    return Status::OK();
+    req.num_threads = 1;  // the job runs inline on its worker
+    req.pool = nullptr;
+    result = OnCpu(
+        [&] { return RunPartition<Tuple8>(req, *rec->partition.input); });
+  } else {
+    req.engine = Engine::kFpgaSim;
+    FPART_RETURN_NOT_OK(WithDeviceLease(rec, [&](bool interfered) {
+      if (interfered) req.interference = Interference::kInterfered;
+      result = RunPartition<Tuple8>(req, *rec->partition.input);
+    }));
   }
-
-  // FPGA placement: one exclusive device lease from the pool first.
-  const double wait0 = NowSeconds();
-  FPART_RETURN_NOT_OK(pool_.Acquire(rec));
-  if (Failpoint("svc.device.run")) {
-    pool_.Release(rec);
-    return Status::Internal("failpoint: forced device-run failure");
-  }
-  const int device = rec->device;
-  const double lease0 = NowSeconds();
-  m.lease_wait_us->Record(ToMicros(lease0 - wait0));
-
-  req.engine = Engine::kFpgaSim;
-  if (config_.adaptive_interference && !config_.deterministic &&
-      cpu_busy_.load(std::memory_order_relaxed) > 0) {
-    req.interference = Interference::kInterfered;
-  }
-  auto result = RunPartition<Tuple8>(req, *rec->partition.input);
-  // Stamp before Release: once the lease is handed on, this thread may be
-  // descheduled for a while and a late stamp would overlap the next
-  // holder's window (busy_us must never exceed wall time per device).
-  const double lease_end = NowSeconds();
-  pool_.Release(rec);
-  const double lease_seconds = lease_end - lease0;
-  m.fpga_busy_us->Add(ToMicros(lease_seconds));
-  pool_.RecordBusy(device, lease_seconds);
   FPART_RETURN_NOT_OK(result.status());
   const auto& report = result.ValueOrDie();
-  out->device_seconds = report.seconds;
+  out->device_seconds = out->backend == Backend::kCpu ? 0.0 : report.seconds;
   std::vector<uint64_t> counts(report.output.num_partitions());
   for (size_t p = 0; p < counts.size(); ++p) {
     counts[p] = report.output.part(p).num_tuples;
@@ -892,33 +687,13 @@ Status Scheduler::RunPartitionJob(JobRecord* rec, size_t worker,
   return Status::OK();
 }
 
-Status Scheduler::RunRebalanceJob(JobRecord* rec, JobOutcome* out) {
-  auto& m = Metrics();
-  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-  const double t0 = NowSeconds();
-  Status status = rec->rebalance.work(&rec->cancel);
-  m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-  out->device_seconds = 0.0;
-  return status;
-}
-
-Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
-  auto& m = Metrics();
-  ThreadPool* pool =
-      worker_pools_.empty() ? nullptr : worker_pools_[worker].get();
-
+Status Scheduler::RunJoinJob(JobRecord* rec, JobOutcome* out) {
   if (out->backend == Backend::kCpu) {
     CpuJoinConfig config;
     config.fanout = rec->join.fanout;
     config.hash = rec->join.hash;
-    config.num_threads = config_.cpu_threads_per_job;
-    config.pool = pool;
-    cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-    const double t0 = NowSeconds();
-    auto result = CpuRadixJoin(config, *rec->join.r, *rec->join.s);
-    m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-    cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
+    auto result = OnCpu(
+        [&] { return CpuRadixJoin(config, *rec->join.r, *rec->join.s); });
     FPART_RETURN_NOT_OK(result.status());
     const JoinResult& jr = result.ValueOrDie();
     out->matches = jr.matches;
@@ -938,54 +713,28 @@ Status Scheduler::RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out) {
   fpga.sim_mode = config_.sim_mode;
   fpga.sim_cache = config_.sim_cache;
   fpga.cancel = &rec->cancel;
-  if (config_.adaptive_interference && !config_.deterministic &&
-      cpu_busy_.load(std::memory_order_relaxed) > 0) {
-    fpga.interference = Interference::kInterfered;
-  }
-
-  const double wait0 = NowSeconds();
-  FPART_RETURN_NOT_OK(pool_.Acquire(rec));
-  if (Failpoint("svc.device.run")) {
-    pool_.Release(rec);
-    return Status::Internal("failpoint: forced device-run failure");
-  }
-  const int device_index = rec->device;
-  const double lease0 = NowSeconds();
-  m.lease_wait_us->Record(ToMicros(lease0 - wait0));
-
-  auto run_device = [&]() -> Result<std::pair<FpgaRunResult<Tuple8>,
-                                              FpgaRunResult<Tuple8>>> {
-    FPART_ASSIGN_OR_RETURN(
-        FpgaRunResult<Tuple8> pr,
-        internal::HybridPartition(fpga, *rec->join.r));
-    FPART_ASSIGN_OR_RETURN(
-        FpgaRunResult<Tuple8> ps,
-        internal::HybridPartition(fpga, *rec->join.s));
-    return std::make_pair(std::move(pr), std::move(ps));
-  };
-  auto device = run_device();
-  const double lease_end = NowSeconds();  // before Release; see partition path
-  pool_.Release(rec);
-  const double lease_seconds = lease_end - lease0;
-  m.fpga_busy_us->Add(ToMicros(lease_seconds));
-  pool_.RecordBusy(device_index, lease_seconds);
-  FPART_RETURN_NOT_OK(device.status());
-  auto& [pr, ps] = device.ValueOrDie();
-  out->device_seconds = pr.seconds + ps.seconds;
+  Result<FpgaRunResult<Tuple8>> pr = Status::Internal("R was not partitioned");
+  Result<FpgaRunResult<Tuple8>> ps = Status::Internal("S was not partitioned");
+  FPART_RETURN_NOT_OK(WithDeviceLease(rec, [&](bool interfered) {
+    if (interfered) fpga.interference = Interference::kInterfered;
+    pr = internal::HybridPartition(fpga, *rec->join.r);
+    if (pr.ok()) ps = internal::HybridPartition(fpga, *rec->join.s);
+  }));
+  FPART_RETURN_NOT_OK(pr.status());
+  FPART_RETURN_NOT_OK(ps.status());
+  out->device_seconds = pr->seconds + ps->seconds;
 
   if (rec->cancel.load(std::memory_order_relaxed)) {
     return Status::Cancelled("job " + std::to_string(rec->id) +
                              " cancelled after device phase");
   }
 
-  cpu_busy_.fetch_add(1, std::memory_order_relaxed);
-  const double t0 = NowSeconds();
-  BuildProbeStats bp = ParallelBuildProbe(
-      pr.output, ps.output, config_.cpu_threads_per_job, pool,
-      static_cast<const Tuple8*>(nullptr), /*prefetch_distance=*/16);
-  m.cpu_busy_us->Add(ToMicros(NowSeconds() - t0));
-  cpu_busy_.fetch_sub(1, std::memory_order_relaxed);
-
+  const BuildProbeStats bp = OnCpu([&] {
+    return ParallelBuildProbe(pr->output, ps->output, /*num_threads=*/1,
+                              /*pool=*/nullptr,
+                              static_cast<const Tuple8*>(nullptr),
+                              /*prefetch_distance=*/16);
+  });
   out->matches = bp.matches;
   out->checksum = bp.checksum;
   return Status::OK();

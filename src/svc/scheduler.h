@@ -13,16 +13,16 @@
 // device is ever run by two jobs at once — which is exactly why CPU
 // fallback under device backlog matters.
 //
-// Two clocks:
-//  * live mode — wall time; backlog doubles are kept per device by the
-//    pool (FPGA) and by the scheduler (CPU) in model seconds, added at
-//    placement and subtracted at completion.
-//  * deterministic mode — virtual time: clients assign each job a
-//    contiguous arrival_seq and a virtual arrival timestamp; the
-//    dispatcher processes strictly in sequence order and advances
-//    per-backend virtual free clocks (list scheduling). Placement is then
-//    a pure function of the job stream — bit-identical across replays no
-//    matter how client threads interleave.
+// Deterministic mode: clients assign each job a contiguous arrival_seq
+// and a virtual arrival timestamp, and the dispatcher places strictly in
+// sequence order — so placement is a pure function of the job stream,
+// bit-identical across replays however client threads interleave.
+//
+// Every job kind takes one path: quote its waits from the BacklogLedger
+// (backlog_ledger.h: wall-time backlogs in live mode, virtual free clocks
+// in deterministic mode), decide the backend (DecidePlacement), judge the
+// prediction against the job's budget at its admission point (live:
+// Submit; deterministic: placement), then charge the ledger.
 #pragma once
 
 #include <array>
@@ -31,16 +31,18 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
+#include "common/topology.h"
 #include "fpga/config.h"
 #include "svc/admission.h"
+#include "svc/backlog_ledger.h"
 #include "svc/fpga_arbiter.h"
 #include "svc/job.h"
 #include "svc/job_queue.h"
@@ -76,9 +78,6 @@ struct SchedulerConfig {
   /// ignores the headroom — virtual worker clocks are fixed at
   /// construction so replays stay bit-identical.
   size_t max_workers = 0;
-  /// CPU threads a single job's partition/build+probe phases may use
-  /// (1 = run inline on the worker; >1 = per-worker pool).
-  size_t cpu_threads_per_job = 1;
   /// Simulated FPGA devices in the pool (0 is clamped to 1). Device jobs
   /// take exactly one lease; grants go to the least-backlogged free
   /// device.
@@ -91,10 +90,6 @@ struct SchedulerConfig {
   /// Deterministic replay mode (strict arrival-seq dispatch + virtual
   /// clocks). See the file comment.
   bool deterministic = false;
-  /// Mark FPGA runs as link-interfered while host workers are busy
-  /// (Figure 2's "interfered" curves). Live mode only — deterministic
-  /// replays use each request's own interference setting.
-  bool adaptive_interference = true;
   /// Simulator backend for device runs the scheduler configures itself
   /// (the join jobs' partitioning passes). Partition jobs carry their own
   /// PartitionRequest::sim_mode.
@@ -110,9 +105,9 @@ struct SchedulerConfig {
   /// tests stage admission-control and cancellation scenarios.
   bool start_paused = false;
   /// Worker-thread pinning policy: applied to the `num_workers` job
-  /// workers and inherited by the per-worker pools. Defaults to the
-  /// process-wide FPART_AFFINITY knob. Placement and virtual-time replay
-  /// are unaffected by pinning, so the determinism hash is too.
+  /// workers. Defaults to the process-wide FPART_AFFINITY knob. Placement
+  /// and virtual-time replay are unaffected by pinning, so the
+  /// determinism hash is too.
   AffinityPolicy affinity = AffinityPolicyFromEnv();
   /// Thread-name prefix of the dispatcher/worker threads.
   std::string name = "svc";
@@ -153,15 +148,14 @@ class Scheduler {
   void Shutdown();
 
   size_t queue_depth() const { return queue_.depth(); }
-  /// Least-backlogged device's clock (the delay a new device job sees).
-  double fpga_backlog_seconds() const { return pool_.backlog_seconds(); }
   /// Deterministic mode: the virtual-clock makespan of the replayed
   /// stream (latest device/worker virtual free time). This is the model's
   /// completion time — the quantity that shrinks as `fpga_devices` grows,
   /// independent of how many host cores the simulator itself gets. Only
   /// meaningful after Shutdown() has drained the stream; 0.0 in live mode.
-  double virtual_makespan_seconds() const;
-  double cpu_backlog_seconds() const;
+  double virtual_makespan_seconds() const {
+    return ledger_.makespan_seconds();
+  }
   uint64_t jobs_submitted() const {
     return submitted_.load(std::memory_order_relaxed);
   }
@@ -195,29 +189,39 @@ class Scheduler {
   AdmissionController::Pressure slo_pressure();
 
  private:
-  Result<JobHandle> SubmitRecord(std::shared_ptr<JobRecord> rec);
+  /// `demand_tuples`: the job's WFQ service demand (never below 1).
+  Result<JobHandle> SubmitRecord(std::shared_ptr<JobRecord> rec,
+                                 uint64_t demand_tuples);
   void DispatcherLoop();
   void WorkerLoop(size_t index);
 
   /// The static (backlog-free) part of the placement input, including the
-  /// EWMA-corrected cost scales. Partition/join jobs only.
+  /// EWMA-corrected cost scales.
   void FillPlacementRequest(const JobRecord& rec, PlacementInput* in) const;
-  /// The backend a pin or non-adaptive policy forces (nullopt: adaptive).
+  /// The backend a job kind, pin or non-adaptive policy forces (nullopt:
+  /// adaptive).
   std::optional<Backend> ForcedBackend(const JobRecord& rec) const;
-  /// Live-mode admission: corrected prediction vs budget at submit time.
-  /// OK = admitted (pending ledger charged); SloError = rejected.
-  Status AdmitLive(JobRecord* rec);
 
-  /// Decide the backend (policy + pinning), run the deterministic-mode
-  /// admission check, charge the chosen backlog and stamp the record.
-  /// Dispatcher-only. False: the job was rejected (SloError) and
-  /// completed; it must not be handed to a worker.
-  bool PlaceJob(const std::shared_ptr<JobRecord>& rec);
+  /// The one quote -> decide -> judge -> charge path. `admit`: live-mode
+  /// admission at Submit, which holds the job's estimate as pending work.
+  /// Otherwise the dispatcher's placement, which charges the chosen
+  /// backend and stamps the record (and, in deterministic mode, is also
+  /// the admission point). A non-OK return is the SloError of a rejected
+  /// job, already completed as kRejected.
+  Status Place(const std::shared_ptr<JobRecord>& rec, bool admit);
   /// Run the job on its placed backend and complete the record.
-  void ExecuteJob(const std::shared_ptr<JobRecord>& rec, size_t worker);
-  Status RunPartitionJob(JobRecord* rec, size_t worker, JobOutcome* out);
-  Status RunJoinJob(JobRecord* rec, size_t worker, JobOutcome* out);
-  Status RunRebalanceJob(JobRecord* rec, JobOutcome* out);
+  void ExecuteJob(const std::shared_ptr<JobRecord>& rec);
+  Status RunPartitionJob(JobRecord* rec, JobOutcome* out);
+  Status RunJoinJob(JobRecord* rec, JobOutcome* out);
+  /// Host-side work: counted as a busy worker (which marks overlapping
+  /// device runs as interfered) and in svc.backend.cpu.busy_us.
+  template <typename Work>
+  auto OnCpu(Work&& work);
+  /// Hold one device lease around `run(interfered)`, where `interfered`
+  /// says whether host work overlaps the run (live mode only). Records the
+  /// lease wait and busy time; returns the lease's own failure, if any.
+  template <typename Run>
+  Status WithDeviceLease(JobRecord* rec, Run&& run);
   void CompleteJob(const std::shared_ptr<JobRecord>& rec, JobState state,
                    Status status, JobOutcome outcome);
 
@@ -225,6 +229,7 @@ class Scheduler {
 
   SchedulerConfig config_;
   JobQueue queue_;
+  BacklogLedger ledger_;
   DevicePool pool_;
   std::unique_ptr<AdmissionController> admission_;
   std::chrono::steady_clock::time_point epoch_;
@@ -247,26 +252,13 @@ class Scheduler {
   std::deque<std::shared_ptr<JobRecord>> ready_;
   bool dispatch_done_ = false;
 
-  // Live-mode CPU backlog (model seconds), guarded by ready_mu_.
-  double cpu_backlog_seconds_ = 0.0;
-
-  // Workers currently executing CPU-side work (adaptive interference).
+  // Workers currently executing CPU-side work (device-run interference).
   std::atomic<uint32_t> cpu_busy_{0};
-
-  // Deterministic mode: virtual free clocks (one per device and per
-  // worker), dispatcher-only.
-  std::vector<double> virt_device_free_;
-  std::vector<double> virt_worker_free_;
-  // Live mode: scratch for the per-device backlog snapshot handed to
-  // DecidePlacement, dispatcher-only.
-  std::vector<double> backlog_scratch_;
 
   std::thread dispatcher_;
   std::vector<std::thread> workers_;
   /// Pin plan of the job workers under config_.affinity (index = worker).
   std::vector<Topology::Pin> worker_pins_;
-  /// Per-worker pools when cpu_threads_per_job > 1 (index = worker).
-  std::vector<std::unique_ptr<ThreadPool>> worker_pools_;
 };
 
 }  // namespace fpart::svc

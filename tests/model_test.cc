@@ -113,31 +113,6 @@ TEST(CostModelTest, PredictSecondsInvertsRate) {
               n / rate, 1e-9);
 }
 
-TEST(CostModelTest, PoolLatencyQueuesOnLeastBackloggedDevice) {
-  FpgaCostModel model(8, 8192);
-  const uint64_t n = 1u << 22;
-  const double backlogs[] = {0.75, 0.10, 0.40};
-  // The job lands on the least-backlogged device of the pool, so the
-  // end-to-end estimate equals the single-device estimate with the
-  // minimum backlog as queueing delay.
-  EXPECT_NEAR(model.PredictPoolLatencySeconds(n, OutputMode::kPad,
-                                              LayoutMode::kRid,
-                                              LinkKind::kXeonFpga, backlogs,
-                                              3),
-              model.PredictLatencySeconds(n, OutputMode::kPad,
-                                          LayoutMode::kRid,
-                                          LinkKind::kXeonFpga, 0.10),
-              1e-12);
-  // Empty pool: pure service time, no queueing delay.
-  EXPECT_NEAR(model.PredictPoolLatencySeconds(n, OutputMode::kPad,
-                                              LayoutMode::kRid,
-                                              LinkKind::kXeonFpga, nullptr,
-                                              0),
-              model.PredictSeconds(n, OutputMode::kPad, LayoutMode::kRid,
-                                   LinkKind::kXeonFpga),
-              1e-12);
-}
-
 TEST(CostModelTest, InterferenceLowersPrediction) {
   FpgaCostModel model(8, 8192);
   const uint64_t n = 1u << 26;

@@ -197,15 +197,19 @@ TEST(AdmissionControllerTest, UnconstrainedJobsAlwaysAdmit) {
 // ----------------------------------------------------------- pending ledger
 
 TEST(AdmissionControllerTest, PendingLedgerAddsSubsAndFloorsAtZero) {
-  AdmissionController adm(EnabledConfig(), 2, 1);
-  adm.AddPending(1.5);
-  adm.AddPending(0.5);
+  using Account = BacklogLedger::Account;
+  BacklogLedger ledger(/*virtual_time=*/false, 2, 1);
+  AdmissionController adm(EnabledConfig(), 2, 1, &ledger);
+  ledger.Charge(Account::kPending, 0.0, 1.5);
+  ledger.Charge(Account::kPending, 0.0, 0.5);
   EXPECT_DOUBLE_EQ(adm.pending_seconds(), 2.0);
-  adm.SubPending(1.5);
+  ledger.Credit(Account::kPending, -1, 1.5);
   EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.5);
-  adm.SubPending(10.0);  // over-credit must clamp, not go negative
+  // Over-credit must clamp, not go negative.
+  ledger.Credit(Account::kPending, -1, 10.0);
   EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.0);
-  adm.AddPending(-1.0);  // non-positive charges are ignored
+  // Non-positive charges are ignored.
+  ledger.Charge(Account::kPending, 0.0, -1.0);
   EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.0);
 }
 
@@ -307,8 +311,9 @@ TEST(AdmissionControllerTest, DevicePressureUsesTheDeviceAxis) {
 TEST(AdmissionControllerTest, PendingWorkCountsTowardCpuPressure) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {1.0, 0.0, 0.0};
-  AdmissionController adm(cfg, 2, 1);
-  adm.AddPending(4.0);
+  BacklogLedger ledger(/*virtual_time=*/false, 2, 1);
+  AdmissionController adm(cfg, 2, 1, &ledger);
+  ledger.Charge(BacklogLedger::Account::kPending, 0.0, 4.0);
   const auto p = adm.UpdatePressure(0.0, 0.0, 2, 8, 1);
   EXPECT_DOUBLE_EQ(p.value, 2.0);  // (0 + 4 pending) / (2 x 1 s)
 }
