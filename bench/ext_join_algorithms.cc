@@ -52,12 +52,6 @@ int Run() {
   hybrid.pool = &pool;
   report("hybrid CPU+FPGA join", HybridJoin(hybrid, input->r, input->s));
 
-  // Same join, but S's (simulated) partitioning runs concurrently with the
-  // CPU build over R's partitions. Simulated seconds are unchanged — only
-  // the host-side wall clock shrinks.
-  hybrid.overlap_partitioning = true;
-  report("hybrid join (overlapped)", HybridJoin(hybrid, input->r, input->s));
-
   report("non-partitioned hash join",
          NoPartitionJoin(threads, input->r, input->s, &pool));
   report("sort-merge join", SortMergeJoin(threads, input->r, input->s, &pool));

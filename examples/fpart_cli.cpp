@@ -1,8 +1,8 @@
 // fpart_cli: command-line driver for the library — partition, join, or
 // query the analytical model without writing any code.
 //
-//   fpart_cli partition --engine=fpga --mode=hist --layout=rid \
-//             --hash=murmur --fanout=8192 --n=8000000 --dist=random
+//   fpart_cli partition --engine=fpga --mode=hist --hash=murmur \
+//             --fanout=8192 --n=8000000 --dist=random
 //   fpart_cli join --workload=A --scale=0.01 --threads=4 --zipf=0.75
 //   fpart_cli model --n=128000000 --width=8
 #include <cstdio>

@@ -7,7 +7,8 @@
 #
 # The tsan suite builds with ThreadSanitizer and runs the concurrency-
 # heavy binaries (svc_test, svc_property_test, svc_admission_test,
-# cluster_test, stream_test, common_test, obs_test, sim_fastpath_test's
+# cluster_test, stream_test, common_test (plus 400 repeats of its
+# ThreadPool exception tests on one CPU), obs_test, sim_fastpath_test's
 # concurrent sim-cache races, datagen_test's copy-on-write output races,
 # plus ext_service, ext_cluster and ext_stream smoke replays) directly — the full ctest matrix is too slow under TSan
 # to be a useful gate.
@@ -64,6 +65,14 @@ run_tsan_suite() {
     echo "=== tsan $bin ===" >&2
     FPART_SCALE=0.0625 "$build_dir/tests/$bin"
   done
+  # On one CPU the worker and the rethrowing caller interleave closely
+  # enough that an unordered exception_ptr release shows up within 400
+  # repeats; on several CPUs it rarely does.
+  echo "=== tsan thread-pool exception hand-off (repeated) ===" >&2
+  one_cpu=""
+  command -v taskset > /dev/null 2>&1 && one_cpu="taskset -c 0"
+  $one_cpu "$build_dir/tests/common_test" \
+    --gtest_filter='ThreadPoolTest.*Exception*' --gtest_repeat=400
   echo "=== tsan sim-cache concurrency ===" >&2
   "$build_dir/tests/sim_fastpath_test" \
     --gtest_filter='SimAnalyticalTest.*'

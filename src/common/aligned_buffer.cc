@@ -26,27 +26,19 @@ constexpr size_t kHugePageSize = 2 * 1024 * 1024;
 #if defined(__linux__)
 // mbind(2) via raw syscall: glibc only exposes it through libnuma, which
 // we do not depend on. Policy constants from <numaif.h>.
-constexpr int kMpolPreferred = 1;
 constexpr int kMpolInterleave = 3;
 
 // Apply a NUMA policy to [p, p+len) before any page is touched. Advisory:
 // failures (old kernels, cpusets, seccomp) are ignored and the region
 // falls back to the default first-touch policy.
-void BindRegion(void* p, size_t len, NumaPlacement placement, int node) {
+void BindRegion(void* p, size_t len, NumaPlacement placement) {
   const size_t num_nodes = Topology::Host().num_nodes();
-  if (placement == NumaPlacement::kDefault || num_nodes <= 1) return;
-  unsigned long mask = 0;
-  int mode = 0;
-  if (placement == NumaPlacement::kNode) {
-    if (node < 0 || static_cast<size_t>(node) >= num_nodes) node = 0;
-    mask = 1UL << node;
-    mode = kMpolPreferred;
-  } else {  // kInterleave
-    mask = (num_nodes >= sizeof(mask) * 8) ? ~0UL : ((1UL << num_nodes) - 1);
-    mode = kMpolInterleave;
-  }
+  if (placement != NumaPlacement::kInterleave || num_nodes <= 1) return;
+  unsigned long mask =
+      (num_nodes >= sizeof(mask) * 8) ? ~0UL : ((1UL << num_nodes) - 1);
   // maxnode counts bits and must exceed the highest set bit.
-  syscall(SYS_mbind, p, len, mode, &mask, sizeof(mask) * 8 + 1, 0UL);
+  syscall(SYS_mbind, p, len, kMpolInterleave, &mask, sizeof(mask) * 8 + 1,
+          0UL);
 }
 #endif
 }  // namespace
@@ -94,7 +86,7 @@ Result<AlignedBuffer> AlignedBuffer::AllocateWith(
   // kernel can supply them.
   if (huge) madvise(p, alloc_size, MADV_HUGEPAGE);
   // Policy must be in place before the first touch commits the pages.
-  BindRegion(p, alloc_size, options.placement, options.node);
+  BindRegion(p, alloc_size, options.placement);
 #endif
   if (options.zero) std::memset(p, 0, alloc_size);
   buf.data_ = static_cast<uint8_t*>(p);

@@ -16,7 +16,6 @@ namespace fpart {
 /// no-ops on single-node machines and on platforms without mbind.
 enum class NumaPlacement {
   kDefault,     ///< whatever the kernel's default policy gives (first touch)
-  kNode,        ///< prefer one NUMA node (AllocateOptions::node)
   kInterleave,  ///< interleave pages across all nodes (shared inputs)
 };
 
@@ -32,8 +31,6 @@ class AlignedBuffer {
   struct AllocateOptions {
     size_t alignment = kCacheLineSize;
     NumaPlacement placement = NumaPlacement::kDefault;
-    /// Preferred node for NumaPlacement::kNode.
-    int node = 0;
     /// When false the region is left untouched (no memset): the caller
     /// promises to write every page before reading it, so the kernel's
     /// first-touch policy places each page on the node of the thread that

@@ -1,7 +1,5 @@
 #include "common/thread_pool.h"
 
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #if defined(__linux__)
@@ -105,49 +103,6 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   WaitIdle();
 }
 
-void ThreadPool::ParallelForNodeChunks(
-    size_t total,
-    const std::function<void(size_t, size_t, size_t)>& fn) {
-  const size_t n = threads_.size();
-  if (n == 1 || total == 0) {
-    fn(0, 0, total);
-    return;
-  }
-
-  // Chunk c covers [total*c/n, total*(c+1)/n) and carries the node tag of
-  // worker c in the pin plan; under kNumaLocal the plan is node-major, so
-  // each node's chunks form one contiguous slab of the input.
-  struct Shared {
-    std::vector<std::atomic<bool>> claimed;
-    explicit Shared(size_t n) : claimed(n) {
-      for (auto& c : claimed) c.store(false, std::memory_order_relaxed);
-    }
-  };
-  auto shared = std::make_shared<Shared>(n);
-
-  for (size_t i = 0; i < n; ++i) {
-    Submit([this, shared, total, n, &fn] {
-      const int my_node = CurrentWorkerContext().node;
-      // Two passes: own-node chunks first, then steal anything unclaimed.
-      // Each task claims exactly one chunk; n tasks + n chunks means every
-      // chunk is run exactly once regardless of which worker runs which
-      // task.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (size_t c = 0; c < n; ++c) {
-          if (pass == 0 && plan_[c].node != my_node) continue;
-          bool expected = false;
-          if (shared->claimed[c].compare_exchange_strong(
-                  expected, true, std::memory_order_acq_rel)) {
-            fn(c, total * c / n, total * (c + 1) / n);
-            return;
-          }
-        }
-      }
-    });
-  }
-  WaitIdle();
-}
-
 void ThreadPool::WorkerLoop(size_t index) {
   NameCurrentThread(name_, index);
   {
@@ -182,7 +137,12 @@ void ThreadPool::WorkerLoop(size_t index) {
     }
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (error && !first_error_) first_error_ = error;
+      // Drop this worker's reference to the exception under mu_. The
+      // exception_ptr count lives in uninstrumented libstdc++, so only the
+      // lock orders this release before WaitIdle's caller reads (and may
+      // free) the exception.
+      if (error && !first_error_) first_error_ = std::move(error);
+      error = nullptr;
       if (--in_flight_ == 0) cv_idle_.notify_all();
     }
   }

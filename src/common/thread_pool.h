@@ -76,18 +76,6 @@ class ThreadPool {
   /// Worker exceptions propagate to the caller, as with WaitIdle().
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// \brief Node-partitioned ParallelFor: split [0, total) into
-  /// num_threads() contiguous even chunks, hand the chunks out node-major,
-  /// and let each executing worker claim a chunk tagged with its own NUMA
-  /// node first (falling back to stealing any unclaimed chunk, so the
-  /// range is always covered exactly once even when the scheduler lands
-  /// tasks unevenly). `fn(chunk, begin, end)` — chunk ids are the
-  /// node-major chunk indices, not thread ids. On a single-node host this
-  /// degenerates to a plain even split.
-  void ParallelForNodeChunks(
-      size_t total,
-      const std::function<void(size_t chunk, size_t begin, size_t end)>& fn);
-
  private:
   void WorkerLoop(size_t index);
 

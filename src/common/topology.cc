@@ -219,9 +219,8 @@ std::vector<Topology::Pin> Topology::PinPlan(AffinityPolicy policy,
                        });
       break;
     case AffinityPolicy::kNumaLocal:
-      // Node-major so each node's workers are index-contiguous (the
-      // contract ParallelForNodeChunks relies on); within a node,
-      // scatter across cores before siblings.
+      // Node-major so each node's workers are index-contiguous; within a
+      // node, scatter across cores before siblings.
       std::stable_sort(order.begin(), order.end(),
                        [](const CpuSlot& a, const CpuSlot& b) {
                          return std::tie(a.node, a.smt, a.core, a.cpu) <

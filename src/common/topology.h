@@ -36,8 +36,8 @@ enum class AffinityPolicy {
   /// bandwidth per worker.
   kScatter,
   /// Scatter, but workers are assigned to NUMA nodes in contiguous
-  /// blocks (node-major worker order) so ParallelForNodeChunks hands each
-  /// node's workers one contiguous, node-local range.
+  /// blocks (node-major worker order), so work split by worker index gives
+  /// each node's workers one contiguous range.
   kNumaLocal,
 };
 

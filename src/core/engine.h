@@ -40,7 +40,6 @@ struct PartitionRequest {
   /// FPGA only (the CPU baseline always builds a histogram — it needs it
   /// for synchronization-free parallel scatter, Section 4.7).
   OutputMode output_mode = OutputMode::kPad;
-  LayoutMode layout = LayoutMode::kRid;
   LinkKind link = LinkKind::kXeonFpga;
   double pad_fraction = 0.5;
   /// FPGA only: model concurrent CPU traffic on the link (Figure 2). The

@@ -11,7 +11,6 @@
 #include "common/status.h"         // Status / Result
 #include "compress/for_codec.h"    // FOR bit-packed key columns (Section 6)
 #include "core/engine.h"           // unified partitioning API
-#include "cpu/multipass.h"         // Manegold-style multi-pass partitioning
 #include "cpu/partitioner.h"       // software baselines (Code 1 / Code 2)
 #include "datagen/distribution.h"  // key distributions (Section 3.2)
 #include "datagen/partitioned_output.h"

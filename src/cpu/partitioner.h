@@ -42,9 +42,6 @@ struct CpuPartitionerConfig {
   uint32_t fanout = 8192;
   /// Radix bits (cheap) or murmur hashing (robust), Section 3.2.
   HashMethod hash = HashMethod::kRadix;
-  /// Low (hashed-)key bits skipped before slicing the partition index;
-  /// used by the multi-pass partitioner (pass 1 works on the high bits).
-  int shift = 0;
   /// kRange only: fanout-1 sorted splitters (see EquiDepthSplitters).
   std::vector<uint64_t> range_splitters;
   size_t num_threads = 1;
@@ -469,7 +466,7 @@ Result<CpuRunResult<T>> CpuPartition(const CpuPartitionerConfig& config,
   const PartitionFn fn =
       config.hash == HashMethod::kRange
           ? PartitionFn::Range(config.range_splitters)
-          : PartitionFn(config.hash, config.fanout, config.shift);
+          : PartitionFn(config.hash, config.fanout);
   const size_t num_threads = std::max<size_t>(1, config.num_threads);
 
   std::unique_ptr<ThreadPool> own_pool;

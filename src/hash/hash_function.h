@@ -48,8 +48,8 @@ uint32_t Crc32c64(uint64_t key);
 class PartitionFn {
  public:
   /// \param shift  skip this many low bits of the (hashed) key before
-  ///               slicing — used by multi-pass radix partitioning, where
-  ///               pass 1 clusters on the high bits of the radix window.
+  ///               slicing, so a two-pass decomposition's first pass
+  ///               can cluster on the high bits of the radix window.
   PartitionFn(HashMethod method, uint32_t fanout, int shift = 0)
       : method_(method),
         fanout_(fanout),

@@ -72,26 +72,6 @@ void ProbePartitionTable(const BucketChainTable<T>& table, const T* r_data,
   }
 }
 
-/// Build a table over one R partition and probe it with the matching S
-/// partition.
-template <typename T>
-void JoinPartition(const T* r_data, size_t r_slots, const T* s_data,
-                   size_t s_slots, BucketChainTable<T>* table,
-                   uint64_t* matches, uint64_t* checksum,
-                   uint32_t prefetch_distance =
-                       kDefaultProbePrefetchDistance) {
-  if (r_slots == 0 || s_slots == 0) return;
-  BuildPartitionTable(table, r_data, r_slots, prefetch_distance);
-  uint64_t m = 0, sum = 0;
-  ProbePartitionTable(*table, r_data, s_data, s_slots, prefetch_distance,
-                      [&](uint32_t i) {
-                        ++m;
-                        sum += GetPayloadId(r_data[i]);
-                      });
-  *matches += m;
-  *checksum += sum;
-}
-
 /// \brief Parallel build+probe over matching partition pairs.
 ///
 /// Partitions are distributed across threads in contiguous ranges; each
@@ -151,101 +131,6 @@ BuildProbeStats ParallelBuildProbe(const RPart& r, const SPart& s,
     stats.probe_cpu_seconds += probe_secs[t];
   }
   return stats;
-}
-
-/// \brief Split-phase build: one table per R partition.
-///
-/// Used by the overlapped hybrid join, which builds over R's partitions
-/// while S is still being partitioned on another thread. Unlike the
-/// interleaved ParallelBuildProbe, every non-empty R partition is built
-/// (S's fill is not yet known) — unless the caller already knows S's
-/// per-partition tuple counts and passes them as `s_hist`, in which case
-/// R partitions whose matching S partition is empty are skipped (their
-/// tables stay unbuilt; the probe never touches them). Adds the phase's
-/// wall and per-thread CPU time to `stats`.
-template <typename RPart, typename T>
-std::vector<BucketChainTable<T>> ParallelBuildTables(
-    const RPart& r, size_t num_threads, ThreadPool* pool,
-    BuildProbeStats* stats, const T* /*tag*/,
-    uint32_t prefetch_distance = kDefaultProbePrefetchDistance,
-    const std::vector<uint64_t>* s_hist = nullptr) {
-  const size_t num_parts = r.num_partitions();
-  std::vector<BucketChainTable<T>> tables(num_parts);
-  std::vector<double> build_secs(num_threads, 0.0);
-  const bool have_skip = s_hist != nullptr && s_hist->size() == num_parts;
-
-  auto worker = [&](size_t t) {
-    Timer timer;
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
-    for (size_t p = begin; p < end; ++p) {
-      const T* r_data = r.partition_data(p);
-      size_t r_slots = r.partition_slots(p);
-      if (r_slots == 0) continue;
-      if (have_skip && (*s_hist)[p] == 0) continue;
-      BuildPartitionTable(&tables[p], r_data, r_slots, prefetch_distance);
-    }
-    build_secs[t] = timer.Seconds();
-  };
-
-  Timer wall;
-  if (num_threads <= 1 || pool == nullptr) {
-    worker(0);
-  } else {
-    pool->ParallelFor(num_threads, worker);
-  }
-  stats->wall_seconds += wall.Seconds();
-  for (double s : build_secs) stats->build_cpu_seconds += s;
-  return tables;
-}
-
-/// \brief Split-phase probe over pre-built per-partition tables.
-template <typename RPart, typename SPart, typename T>
-void ParallelProbeTables(const RPart& r, const SPart& s,
-                         const std::vector<BucketChainTable<T>>& tables,
-                         size_t num_threads, ThreadPool* pool,
-                         BuildProbeStats* stats,
-                         uint32_t prefetch_distance =
-                             kDefaultProbePrefetchDistance) {
-  const size_t num_parts = r.num_partitions();
-  std::vector<uint64_t> matches(num_threads, 0);
-  std::vector<uint64_t> checksums(num_threads, 0);
-  std::vector<double> probe_secs(num_threads, 0.0);
-
-  auto worker = [&](size_t t) {
-    Timer timer;
-    uint64_t m = 0, sum = 0;
-    size_t begin = num_parts * t / num_threads;
-    size_t end = num_parts * (t + 1) / num_threads;
-    for (size_t p = begin; p < end; ++p) {
-      const T* r_data = r.partition_data(p);
-      const T* s_data = s.partition_data(p);
-      size_t s_slots = s.partition_slots(p);
-      if (r.partition_slots(p) == 0 || s_slots == 0) continue;
-      if (tables[p].num_buckets() == 0) continue;  // skipped known-empty S
-      ProbePartitionTable(tables[p], r_data, s_data, s_slots,
-                          prefetch_distance, [&](uint32_t i) {
-                            ++m;
-                            sum += GetPayloadId(r_data[i]);
-                          });
-    }
-    probe_secs[t] = timer.Seconds();
-    matches[t] = m;
-    checksums[t] = sum;
-  };
-
-  Timer wall;
-  if (num_threads <= 1 || pool == nullptr) {
-    worker(0);
-  } else {
-    pool->ParallelFor(num_threads, worker);
-  }
-  stats->wall_seconds += wall.Seconds();
-  for (size_t t = 0; t < num_threads; ++t) {
-    stats->matches += matches[t];
-    stats->checksum += checksums[t];
-    stats->probe_cpu_seconds += probe_secs[t];
-  }
 }
 
 }  // namespace fpart

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
@@ -39,21 +38,8 @@ struct HybridJoinConfig {
   /// num_threads > 1, the call constructs (and tears down) its own pool —
   /// benchmark loops should pass one pool and reuse it across calls.
   ThreadPool* pool = nullptr;
-  /// Overlap S's (simulated) partitioning with the CPU build over R's
-  /// partitions: on the real system the FPGA streams S while the CPU is
-  /// already building. Simulated seconds are unaffected — only host wall
-  /// clock shrinks — but build+probe runs as two phases (build all, then
-  /// probe all) instead of the cache-friendlier per-partition interleave,
-  /// so the paper-figure benchmarks keep it off.
-  bool overlap_partitioning = false;
   /// Software-prefetch lookahead for the build+probe bucket accesses.
   uint32_t prefetch_distance = 16;
-  /// Exact per-partition tuple counts of S, when the caller already knows
-  /// them (a recurring join against the same S, or a prior HIST-mode run).
-  /// Lets the overlapped build skip R partitions whose S side is empty —
-  /// their tables would never be probed. Must be exact: a zero entry for a
-  /// non-empty S partition silently drops its matches. Not owned.
-  const std::vector<uint64_t>* s_histogram = nullptr;
 };
 
 namespace internal {
@@ -91,39 +77,15 @@ Result<JoinResult> HybridJoin(const HybridJoinConfig& config,
 
   FpgaRunResult<T> pr, ps;
   BuildProbeStats bp;
-  if (config.overlap_partitioning) {
-    // R must be partitioned before anything can be built over it.
-    {
-      obs::TraceSpan span("hybrid.partition_r", "join");
-      FPART_ASSIGN_OR_RETURN(pr, internal::HybridPartition(config.fpga, r));
-    }
-    // S's partitioning simulation runs on a dedicated host thread while
-    // the pool builds tables over R's partitions.
-    Result<FpgaRunResult<T>> s_run = Status::Internal("S pass not run");
-    std::thread s_sim([&] {
-      obs::TraceSpan span("hybrid.partition_s", "join");
-      s_run = internal::HybridPartition(config.fpga, s);
-    });
-    {
-      obs::TraceSpan span("hybrid.build_probe", "join");
-      auto tables = ParallelBuildTables(pr.output, config.num_threads, pool,
-                                        &bp, static_cast<const T*>(nullptr),
-                                        config.prefetch_distance,
-                                        config.s_histogram);
-      s_sim.join();
-      FPART_ASSIGN_OR_RETURN(ps, std::move(s_run));
-      ParallelProbeTables(pr.output, ps.output, tables, config.num_threads,
-                          pool, &bp, config.prefetch_distance);
-    }
-  } else {
-    {
-      obs::TraceSpan span("hybrid.partition_r", "join");
-      FPART_ASSIGN_OR_RETURN(pr, internal::HybridPartition(config.fpga, r));
-    }
-    {
-      obs::TraceSpan span("hybrid.partition_s", "join");
-      FPART_ASSIGN_OR_RETURN(ps, internal::HybridPartition(config.fpga, s));
-    }
+  {
+    obs::TraceSpan span("hybrid.partition_r", "join");
+    FPART_ASSIGN_OR_RETURN(pr, internal::HybridPartition(config.fpga, r));
+  }
+  {
+    obs::TraceSpan span("hybrid.partition_s", "join");
+    FPART_ASSIGN_OR_RETURN(ps, internal::HybridPartition(config.fpga, s));
+  }
+  {
     obs::TraceSpan span("hybrid.build_probe", "join");
     bp = ParallelBuildProbe(pr.output, ps.output, config.num_threads, pool,
                             static_cast<const T*>(nullptr),

@@ -254,7 +254,6 @@ Status StreamStore::DrainLocked() {
   req.hash = config_.hash;
   req.output_mode = OutputMode::kHist;  // exact sizes, no overflow risk
   req.sim_cache = config_.sim_cache;
-  req.num_threads = config_.drain_threads;
   auto run = RunPartition<Tuple8>(req, rel);
   if (!run.ok()) {
     buffer_ = std::move(batch);

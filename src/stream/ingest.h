@@ -66,8 +66,6 @@ struct StreamStoreConfig {
   /// synchronously when the bound is reached (backpressure by design —
   /// the caller's thread pays for the drain).
   size_t buffer_tuples = 8192;
-  /// CPU drains only: threads of the per-drain partitioner run.
-  size_t drain_threads = 1;
 };
 
 /// \brief Outcome of a point read.

@@ -96,14 +96,8 @@ const char* SizeClassName(size_t size_class) {
   }
 }
 
-AdmissionController::AdmissionController(const SloConfig& config,
-                                         size_t num_workers,
-                                         size_t num_devices,
-                                         const BacklogLedger* ledger)
-    : config_(config),
-      num_workers_(std::max<size_t>(1, num_workers)),
-      num_devices_(std::max<size_t>(1, num_devices)),
-      ledger_(ledger) {
+AdmissionController::AdmissionController(const SloConfig& config)
+    : config_(config) {
   for (auto& row : correction_) {
     for (auto& cell : row) {
       cell.store(1.0, std::memory_order_relaxed);
@@ -205,12 +199,8 @@ AdmissionController::Verdict AdmissionController::Judge(
   return v;
 }
 
-double AdmissionController::pending_seconds() const {
-  return ledger_ != nullptr ? ledger_->pending_seconds() : 0.0;
-}
-
 AdmissionController::Pressure AdmissionController::UpdatePressure(
-    double cpu_backlog_seconds, double device_backlog_seconds,
+    double cpu_wait_seconds, double device_backlog_seconds,
     size_t active_workers, size_t max_workers, size_t num_devices) {
   // Reference horizon: the tightest configured SLO (a backlog that long
   // already eats a whole budget), 1 s when no SLO is configured.
@@ -222,9 +212,7 @@ AdmissionController::Pressure AdmissionController::UpdatePressure(
 
   const size_t workers = std::max<size_t>(1, active_workers);
   const size_t devices = std::max<size_t>(1, num_devices);
-  const double cpu_pressure =
-      (cpu_backlog_seconds + pending_seconds()) /
-      (static_cast<double>(workers) * reference);
+  const double cpu_pressure = cpu_wait_seconds / reference;
   const double device_pressure =
       device_backlog_seconds / (static_cast<double>(devices) * reference);
 

@@ -41,7 +41,6 @@
 #include <optional>
 
 #include "common/status.h"
-#include "svc/backlog_ledger.h"
 #include "svc/job.h"
 #include "svc/placement.h"
 
@@ -84,11 +83,7 @@ struct SloConfig {
 /// thread-safe (clients admit concurrently in live mode).
 class AdmissionController {
  public:
-  /// `ledger` supplies the pending charge the pressure signal counts as
-  /// CPU work; null counts none. It must outlive the controller.
-  AdmissionController(const SloConfig& config, size_t num_workers,
-                      size_t num_devices,
-                      const BacklogLedger* ledger = nullptr);
+  explicit AdmissionController(const SloConfig& config);
 
   FPART_DISALLOW_COPY_AND_ASSIGN(AdmissionController);
 
@@ -136,10 +131,6 @@ class AdmissionController {
   Verdict Judge(JobClass cls, double deadline_seconds,
                 double predicted_seconds);
 
-  /// Live mode: admitted-but-unplaced corrected work (seconds), as the
-  /// ledger holds it from admission until the dispatcher places the job.
-  double pending_seconds() const;
-
   /// \brief Backlog-derived autoscaling signal.
   struct Pressure {
     /// max(CPU, device) backlog drain time over the tightest SLO
@@ -154,8 +145,9 @@ class AdmissionController {
   };
 
   /// Recompute the pressure signal from live backlogs and publish the
-  /// svc.slo.pressure / delta gauges.
-  Pressure UpdatePressure(double cpu_backlog_seconds,
+  /// svc.slo.pressure / delta gauges. `cpu_wait_seconds` is the ledger's
+  /// CPU wait quoted with the pending charge (BacklogLedger::QuoteWaits).
+  Pressure UpdatePressure(double cpu_wait_seconds,
                           double device_backlog_seconds,
                           size_t active_workers, size_t max_workers,
                           size_t num_devices);
@@ -179,8 +171,6 @@ class AdmissionController {
 
  private:
   const SloConfig config_;
-  const size_t num_workers_;
-  const size_t num_devices_;
 
   /// Correction factors, updated by CAS (completions race in live mode;
   /// a lost EWMA sample is acceptable, a torn double is not).
@@ -192,8 +182,6 @@ class AdmissionController {
   std::atomic<uint64_t> rejected_slo_{0};
   std::atomic<uint64_t> rejected_deadline_{0};
   std::array<std::atomic<uint64_t>, kNumJobClasses> rejected_by_class_{};
-
-  const BacklogLedger* const ledger_;
 };
 
 }  // namespace fpart::svc

@@ -16,9 +16,10 @@ constexpr size_t kCpuThreads = 1;
 PlacementDecision DecidePartition(const PlacementInput& in) {
   PlacementDecision d;
   const FpgaCostModel fpga(in.tuple_width, in.fanout);
-  d.est_fpga_seconds = in.device_cost_scale *
-                       fpga.PredictSeconds(in.n_tuples, in.mode, in.layout,
-                                           in.link, in.interference);
+  d.est_fpga_seconds =
+      in.device_cost_scale * fpga.PredictSeconds(in.n_tuples, in.mode,
+                                                 LayoutMode::kRid, in.link,
+                                                 in.interference);
   d.device_seconds = d.est_fpga_seconds;
   d.est_cpu_seconds =
       in.cpu_cost_scale *
@@ -35,9 +36,9 @@ PlacementDecision DecideJoin(const PlacementInput& in) {
   // the lease, the host runs build+probe afterwards.
   d.device_seconds =
       in.device_cost_scale *
-      (fpga.PredictSeconds(in.r_tuples, in.mode, in.layout, in.link,
+      (fpga.PredictSeconds(in.r_tuples, in.mode, LayoutMode::kRid, in.link,
                            in.interference) +
-       fpga.PredictSeconds(in.s_tuples, in.mode, in.layout, in.link,
+       fpga.PredictSeconds(in.s_tuples, in.mode, LayoutMode::kRid, in.link,
                            in.interference));
   d.est_fpga_seconds =
       d.device_seconds +

@@ -36,7 +36,6 @@ struct PlacementInput {
   int tuple_width = 8;
   uint32_t fanout = 2048;
   OutputMode mode = OutputMode::kPad;
-  LayoutMode layout = LayoutMode::kRid;
   LinkKind link = LinkKind::kXeonFpga;
   HashMethod hash = HashMethod::kMurmur;
   Interference interference = Interference::kAlone;

@@ -202,8 +202,7 @@ Scheduler::Scheduler(SchedulerConfig config)
   if (config_.max_workers < config_.num_workers || config_.deterministic) {
     config_.max_workers = config_.num_workers;
   }
-  admission_ = std::make_unique<AdmissionController>(
-      config_.slo, config_.num_workers, pool_.num_devices(), &ledger_);
+  admission_ = std::make_unique<AdmissionController>(config_.slo);
   active_workers_.store(config_.num_workers, std::memory_order_release);
   worker_pins_ = Topology::Host().PinPlan(config_.affinity,
                                           config_.max_workers);
@@ -226,9 +225,12 @@ bool Scheduler::SetActiveWorkers(size_t n) {
 }
 
 AdmissionController::Pressure Scheduler::slo_pressure() {
+  const size_t workers = active_workers();
   return admission_->UpdatePressure(
-      ledger_.cpu_backlog_seconds(), ledger_.total_device_backlog_seconds(),
-      active_workers(), config_.max_workers, pool_.num_devices());
+      ledger_.QuoteWaits(NowSeconds(), workers, /*with_pending=*/true)
+          .cpu_wait,
+      ledger_.total_device_backlog_seconds(), workers, config_.max_workers,
+      pool_.num_devices());
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
@@ -353,7 +355,6 @@ void Scheduler::FillPlacementRequest(const JobRecord& rec,
       in->n_tuples = rec.partition.input->size();
       in->fanout = req.fanout;
       in->mode = req.output_mode;
-      in->layout = req.layout;
       in->link = req.link;
       in->hash = req.hash;
       in->interference = req.interference;

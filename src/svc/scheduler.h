@@ -174,6 +174,8 @@ class Scheduler {
   /// The SLO admission controller (stats and correction factors; always
   /// constructed, inert unless config().slo.enabled).
   const AdmissionController& admission() const { return *admission_; }
+  /// The backlog ledger placement and admission charge.
+  const BacklogLedger& ledger() const { return ledger_; }
 
   /// Workers currently eligible to pick up jobs (<= config().max_workers).
   size_t active_workers() const {

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -319,68 +318,6 @@ TEST(ThreadPoolTest, WorkersPublishContext) {
     ctx_ok = ctx_ok && ok;
   });
   EXPECT_TRUE(ctx_ok);
-}
-
-TEST(ThreadPoolTest, NodeChunksCoverRangeExactlyOnce) {
-  // n workers, n chunks: every element of [0, total) must be visited by
-  // exactly one chunk, whichever workers end up claiming or stealing.
-  ThreadPool pool(4, "tp-chunks", AffinityPolicy::kNone);
-  const size_t total = 1003;  // deliberately not a multiple of 4
-  std::vector<std::atomic<int>> hits(total);
-  std::atomic<size_t> chunks{0};
-  pool.ParallelForNodeChunks(total, [&](size_t, size_t begin, size_t end) {
-    chunks.fetch_add(1);
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  EXPECT_EQ(chunks.load(), 4u);
-  for (size_t i = 0; i < total; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "element " << i;
-  }
-}
-
-TEST(ThreadPoolTest, NodeChunksRunEachChunkIdOnce) {
-  ThreadPool pool(3, "tp-chunkid", AffinityPolicy::kCompact);
-  std::mutex mu;
-  std::set<size_t> seen;
-  std::vector<std::pair<size_t, size_t>> ranges(3);
-  pool.ParallelForNodeChunks(300, [&](size_t c, size_t b, size_t e) {
-    std::lock_guard<std::mutex> lock(mu);
-    EXPECT_TRUE(seen.insert(c).second) << "chunk " << c << " ran twice";
-    if (c < ranges.size()) ranges[c] = {b, e};
-  });
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(ranges[0], (std::pair<size_t, size_t>(0, 100)));
-  EXPECT_EQ(ranges[1], (std::pair<size_t, size_t>(100, 200)));
-  EXPECT_EQ(ranges[2], (std::pair<size_t, size_t>(200, 300)));
-}
-
-TEST(ThreadPoolTest, NodeChunksSingleThreadRunsInline) {
-  ThreadPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  size_t chunk = 99, begin = 99, end = 0;
-  pool.ParallelForNodeChunks(42, [&](size_t c, size_t b, size_t e) {
-    seen = std::this_thread::get_id();
-    chunk = c;
-    begin = b;
-    end = e;
-  });
-  EXPECT_EQ(seen, caller);
-  EXPECT_EQ(chunk, 0u);
-  EXPECT_EQ(begin, 0u);
-  EXPECT_EQ(end, 42u);
-}
-
-TEST(ThreadPoolTest, NodeChunksZeroTotalStillCalledOnce) {
-  ThreadPool pool(3);
-  std::atomic<int> calls{0};
-  size_t end = 99;
-  pool.ParallelForNodeChunks(0, [&](size_t, size_t, size_t e) {
-    calls.fetch_add(1);
-    end = e;
-  });
-  EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(end, 0u);
 }
 
 TEST(StatusTest, SloErrorIsTypedAndDistinct) {

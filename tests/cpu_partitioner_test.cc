@@ -1,6 +1,6 @@
 // Tests for the CPU software partitioners (Section 3): naive (Code 1),
-// software-managed buffers (Code 2), parallel execution, non-temporal
-// stores, and the Manegold-style multi-pass variant.
+// software-managed buffers (Code 2), parallel execution and non-temporal
+// stores.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "cpu/multipass.h"
 #include "cpu/partitioner.h"
 #include "datagen/relation.h"
 #include "datagen/workloads.h"
@@ -196,43 +195,6 @@ TEST(CpuPartitionerTest, PartitionsAreCacheLineAligned) {
                   kCacheLineSize,
               0u);
   }
-}
-
-// --- Multi-pass partitioning.
-class MultipassTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(MultipassTest, EquivalentToSinglePass) {
-  const int pass1_bits = GetParam();
-  auto rel = MakeRelation<Tuple8>(40000, 61);
-  CpuPartitionerConfig config;
-  config.fanout = 256;  // 8 bits total
-  config.num_threads = 2;
-  auto run = MultipassPartition(config, pass1_bits, rel.data(), rel.size());
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  PartitionFn fn(config.hash, config.fanout);
-  ExpectCorrect(*run, fn, rel.data(), rel.size());
-}
-
-INSTANTIATE_TEST_SUITE_P(Pass1Bits, MultipassTest, ::testing::Values(1, 3, 4,
-                                                                     7, 8));
-
-TEST(MultipassTest, MurmurHashingAlsoDecomposes) {
-  auto rel = MakeRelation<Tuple8>(20000, 67);
-  CpuPartitionerConfig config;
-  config.fanout = 128;
-  config.hash = HashMethod::kMurmur;
-  auto run = MultipassPartition(config, 3, rel.data(), rel.size());
-  ASSERT_TRUE(run.ok()) << run.status().ToString();
-  PartitionFn fn(config.hash, config.fanout);
-  ExpectCorrect(*run, fn, rel.data(), rel.size());
-}
-
-TEST(MultipassTest, RejectsInvalidBits) {
-  auto rel = MakeRelation<Tuple8>(100, 3);
-  CpuPartitionerConfig config;
-  config.fanout = 16;
-  EXPECT_FALSE(MultipassPartition(config, 0, rel.data(), rel.size()).ok());
-  EXPECT_FALSE(MultipassPartition(config, 5, rel.data(), rel.size()).ok());
 }
 
 }  // namespace

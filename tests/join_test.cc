@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/rng.h"
-#include "cpu/partitioner.h"
 #include "datagen/workloads.h"
 #include "join/build_probe.h"
 #include "join/hash_table.h"
@@ -64,9 +62,13 @@ TEST(JoinPartitionTest, SkipsDummies) {
   std::vector<Tuple8> r = {{5, 0}, MakeDummyTuple<Tuple8>(), {7, 2}};
   std::vector<Tuple8> s = {{7, 0}, MakeDummyTuple<Tuple8>(), {5, 1}, {6, 9}};
   BucketChainTable<Tuple8> table;
+  BuildPartitionTable(&table, r.data(), r.size());
   uint64_t matches = 0, checksum = 0;
-  JoinPartition(r.data(), r.size(), s.data(), s.size(), &table, &matches,
-                &checksum);
+  ProbePartitionTable(table, r.data(), s.data(), s.size(),
+                      kDefaultProbePrefetchDistance, [&](uint32_t i) {
+                        ++matches;
+                        checksum += GetPayloadId(r[i]);
+                      });
   EXPECT_EQ(matches, 2u);
   EXPECT_EQ(checksum, 0u + 2u);  // payload ids of the matched R tuples
 }
@@ -181,30 +183,7 @@ TEST(HybridJoinTest, SkewedPadOverflowFallsBackToHist) {
   EXPECT_EQ(result->matches, input->s.size());
 }
 
-TEST(HybridJoinTest, OverlappedExecutionMatchesSequential) {
-  // Overlapping S's partitioning with the build over R changes only host
-  // wall clock; matches, checksum, and the simulated partition time are
-  // deterministic and must be identical.
-  JoinInput input = SmallWorkload(WorkloadId::kA, 2e-4);
-  for (LayoutMode layout : {LayoutMode::kRid, LayoutMode::kVrid}) {
-    HybridJoinConfig config;
-    config.fpga.fanout = 64;
-    config.fpga.output_mode = OutputMode::kPad;
-    config.fpga.layout = layout;
-    config.num_threads = 2;
-    auto sequential = HybridJoin(config, input.r, input.s);
-    config.overlap_partitioning = true;
-    auto overlapped = HybridJoin(config, input.r, input.s);
-    ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
-    ASSERT_TRUE(overlapped.ok()) << overlapped.status().ToString();
-    EXPECT_EQ(overlapped->matches, sequential->matches);
-    EXPECT_EQ(overlapped->checksum, sequential->checksum);
-    EXPECT_EQ(overlapped->partition_seconds, sequential->partition_seconds);
-    EXPECT_EQ(overlapped->matches, input.s.size());
-  }
-}
-
-TEST(HybridJoinTest, OverlappedExecutionWithSharedPool) {
+TEST(HybridJoinTest, SharedPoolStaysUsableAcrossCalls) {
   JoinInput input = SmallWorkload(WorkloadId::kB, 1e-4);
   ThreadPool pool(2);
   HybridJoinConfig config;
@@ -212,7 +191,6 @@ TEST(HybridJoinTest, OverlappedExecutionWithSharedPool) {
   config.fpga.output_mode = OutputMode::kHist;
   config.num_threads = 2;
   config.pool = &pool;
-  config.overlap_partitioning = true;
   auto result = HybridJoin(config, input.r, input.s);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->matches, input.s.size());
@@ -222,7 +200,7 @@ TEST(HybridJoinTest, OverlappedExecutionWithSharedPool) {
   EXPECT_EQ(again->checksum, result->checksum);
 }
 
-TEST(HybridJoinTest, OverlappedOverflowStillReportsError) {
+TEST(HybridJoinTest, PadOverflowReportsPartitionOverflow) {
   WorkloadSpec spec = GetWorkloadSpec(WorkloadId::kA, 2e-4);
   spec.zipf = 1.2;  // skew S so the PAD budget overflows during its pass
   auto input = GenerateWorkload(spec, 3);
@@ -232,7 +210,6 @@ TEST(HybridJoinTest, OverlappedOverflowStillReportsError) {
   config.fpga.output_mode = OutputMode::kPad;
   config.fpga.pad_fraction = 0.05;
   config.num_threads = 2;
-  config.overlap_partitioning = true;
   auto result = HybridJoin(config, input->r, input->s);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsPartitionOverflow())
@@ -256,105 +233,6 @@ TEST(NoPartitionJoinTest, SingleThreadWorks) {
   auto np = NoPartitionJoin(1, input.r, input.s);
   ASSERT_TRUE(np.ok());
   EXPECT_EQ(np->matches, input.s.size());
-}
-
-TEST(ParallelBuildTablesTest, SkipListAvoidsBuildingUnprobedPartitions) {
-  // R covers all 16 radix partitions; S only partitions 0..7, so an exact
-  // S histogram lets the split-phase build skip the upper half of R's
-  // tables — they would never be probed.
-  constexpr uint32_t kFanout = 16;
-  const size_t nr = 8192, ns = 4096;
-  auto r = Relation<Tuple8>::Allocate(nr);
-  auto s = Relation<Tuple8>::Allocate(ns);
-  ASSERT_TRUE(r.ok() && s.ok());
-  for (size_t i = 0; i < nr; ++i) (*r)[i] = {static_cast<uint32_t>(i), i};
-  Rng rng(19);
-  for (size_t j = 0; j < ns; ++j) {
-    // A random R key whose low 4 bits (the radix digit) are < 8.
-    uint32_t key = static_cast<uint32_t>(
-        (rng.Next() % (nr / kFanout)) * kFanout + rng.Next() % 8);
-    (*s)[j] = {key, j};
-  }
-
-  CpuPartitionerConfig pc;
-  pc.fanout = kFanout;
-  pc.hash = HashMethod::kRadix;
-  auto pr = CpuPartition(pc, r->data(), r->size());
-  auto ps = CpuPartition(pc, s->data(), s->size());
-  ASSERT_TRUE(pr.ok() && ps.ok());
-  for (uint32_t p = kFanout / 2; p < kFanout; ++p) {
-    ASSERT_EQ(ps->histogram[p], 0u) << p;
-  }
-
-  const Tuple8* tag = nullptr;
-  BuildProbeStats full_stats, skip_stats;
-  auto full = ParallelBuildTables(pr->output, 1, nullptr, &full_stats, tag);
-  auto skipped =
-      ParallelBuildTables(pr->output, 1, nullptr, &skip_stats, tag,
-                          kDefaultProbePrefetchDistance, &ps->histogram);
-  for (uint32_t p = 0; p < kFanout; ++p) {
-    EXPECT_GT(full[p].num_buckets(), 0u) << p;
-    if (p < kFanout / 2) {
-      EXPECT_GT(skipped[p].num_buckets(), 0u) << p;
-    } else {
-      EXPECT_EQ(skipped[p].num_buckets(), 0u) << "partition " << p
-                                              << " should be skipped";
-    }
-  }
-
-  // Probing the skip-list tables loses no matches.
-  ParallelProbeTables(pr->output, ps->output, full, 1, nullptr, &full_stats);
-  ParallelProbeTables(pr->output, ps->output, skipped, 1, nullptr,
-                      &skip_stats);
-  EXPECT_EQ(full_stats.matches, ns);
-  EXPECT_EQ(skip_stats.matches, full_stats.matches);
-  EXPECT_EQ(skip_stats.checksum, full_stats.checksum);
-}
-
-TEST(HybridJoinTest, OverlappedSkipListMatchesFullBuild) {
-  // Overlapped hybrid join with a caller-provided exact S histogram (the
-  // recurring-join case) must produce the same matches and checksum as
-  // the full build, with S touching only a quarter of the partitions.
-  constexpr uint32_t kFanout = 64;
-  const size_t nr = 16384, ns = 8192;
-  auto r = Relation<Tuple8>::Allocate(nr);
-  auto s = Relation<Tuple8>::Allocate(ns);
-  ASSERT_TRUE(r.ok() && s.ok());
-  for (size_t i = 0; i < nr; ++i) (*r)[i] = {static_cast<uint32_t>(i), i};
-  Rng rng(29);
-  for (size_t j = 0; j < ns; ++j) {
-    uint32_t key = static_cast<uint32_t>(
-        (rng.Next() % (nr / kFanout)) * kFanout + rng.Next() % (kFanout / 4));
-    (*s)[j] = {key, j};
-  }
-
-  HybridJoinConfig config;
-  config.fpga.fanout = kFanout;
-  config.fpga.hash = HashMethod::kRadix;
-  config.fpga.output_mode = OutputMode::kHist;
-  config.num_threads = 2;
-  config.overlap_partitioning = true;
-  auto full = HybridJoin(config, *r, *s);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  ASSERT_EQ(full->matches, ns);
-
-  // The exact per-partition S counts, as a prior run would have recorded.
-  FpgaPartitioner<Tuple8> part(config.fpga);
-  auto s_run = part.Partition(s->data(), s->size());
-  ASSERT_TRUE(s_run.ok()) << s_run.status().ToString();
-  std::vector<uint64_t> s_hist(kFanout);
-  size_t empty = 0;
-  for (uint32_t p = 0; p < kFanout; ++p) {
-    s_hist[p] = s_run->output.part(p).num_tuples;
-    if (s_hist[p] == 0) ++empty;
-  }
-  ASSERT_GT(empty, 0u);  // the skip list must actually skip something
-
-  config.s_histogram = &s_hist;
-  auto skipped = HybridJoin(config, *r, *s);
-  ASSERT_TRUE(skipped.ok()) << skipped.status().ToString();
-  EXPECT_EQ(skipped->matches, full->matches);
-  EXPECT_EQ(skipped->checksum, full->checksum);
 }
 
 TEST(JoinResultTest, ThroughputAccountsBothRelations) {

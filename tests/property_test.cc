@@ -1,7 +1,7 @@
 // Randomized end-to-end properties: for arbitrary configurations and key
-// distributions, the FPGA circuit, the CPU single-pass partitioner and the
-// CPU multi-pass partitioner all produce identical partition multisets and
-// conserve every tuple; joins over them agree with a nested-loop oracle.
+// distributions, the FPGA circuit and the CPU partitioner produce identical
+// partition multisets and conserve every tuple; joins over them agree with
+// a nested-loop oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,16 +103,8 @@ TEST_P(PartitionEquivalenceTest, AllEnginesAgree) {
   auto cpu_run = CpuPartition(cpu_config, rel.data(), rel.size());
   ASSERT_TRUE(cpu_run.ok());
 
-  // CPU multi-pass (when the fanout has at least 2 bits).
   auto fpga_parts = Collect(fpga_run->output);
-  auto cpu_parts = Collect(cpu_run->output);
-  ASSERT_EQ(fpga_parts, cpu_parts);
-  if (FanoutBits(c.fanout) >= 2) {
-    auto multi_run = MultipassPartition(
-        cpu_config, FanoutBits(c.fanout) / 2, rel.data(), rel.size());
-    ASSERT_TRUE(multi_run.ok());
-    ASSERT_EQ(Collect(multi_run->output), cpu_parts);
-  }
+  ASSERT_EQ(fpga_parts, Collect(cpu_run->output));
 
   // Conservation: every tuple appears exactly once.
   uint64_t total = 0;

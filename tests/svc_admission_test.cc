@@ -56,7 +56,7 @@ TEST(SizeClassTest, NamesCoverEveryClass) {
 // ------------------------------------------------------- EWMA correction
 
 TEST(AdmissionControllerTest, CorrectionStartsAtUnityEverywhere) {
-  AdmissionController adm(EnabledConfig(), 2, 1);
+  AdmissionController adm(EnabledConfig());
   for (size_t b = 0; b < kNumBackends; ++b) {
     for (size_t s = 0; s < kNumSizeClasses; ++s) {
       EXPECT_DOUBLE_EQ(adm.correction(static_cast<Backend>(b), s), 1.0);
@@ -68,7 +68,7 @@ TEST(AdmissionControllerTest, CorrectionStartsAtUnityEverywhere) {
 TEST(AdmissionControllerTest, EwmaConvergesToTheObservedRatio) {
   SloConfig cfg = EnabledConfig();
   cfg.ewma_alpha = 0.3;
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   // A model that is consistently 2x too optimistic.
   for (int i = 0; i < 100; ++i) {
     adm.ObserveRun(Backend::kCpu, /*demand_tuples=*/1000.0,
@@ -86,7 +86,7 @@ TEST(AdmissionControllerTest, EwmaLearnsAgainstTheRawModelNotItsOwnOutput) {
   // convergence to the full factor.
   SloConfig cfg = EnabledConfig();
   cfg.ewma_alpha = 0.3;
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   const double k = 2.0;
   for (int i = 0; i < 200; ++i) {
     const double model = 1.0;
@@ -101,7 +101,7 @@ TEST(AdmissionControllerTest, EwmaLearnsAgainstTheRawModelNotItsOwnOutput) {
 TEST(AdmissionControllerTest, CorrectionIsClampedToConfiguredBand) {
   SloConfig cfg = EnabledConfig();
   cfg.ewma_alpha = 1.0;  // jump straight to the sample
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 100.0, true);
   EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), cfg.correction_cap);
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 1e-6, true);
@@ -110,7 +110,7 @@ TEST(AdmissionControllerTest, CorrectionIsClampedToConfiguredBand) {
 
 TEST(AdmissionControllerTest, DisabledControllerNeverLearns) {
   SloConfig off;  // enabled = false
-  AdmissionController adm(off, 2, 1);
+  AdmissionController adm(off);
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 3.0, true);
   EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), 1.0);
 }
@@ -118,7 +118,7 @@ TEST(AdmissionControllerTest, DisabledControllerNeverLearns) {
 TEST(AdmissionControllerTest, LearnFlagFalseSuppressesTheUpdate) {
   // The deterministic-mode path: corrections must stay at 1.0 so replays
   // are bit-identical to an admission-off run.
-  AdmissionController adm(EnabledConfig(), 2, 1);
+  AdmissionController adm(EnabledConfig());
   adm.ObserveRun(Backend::kCpu, 1.0, 1.0, 1.0, 3.0, /*learn=*/false);
   EXPECT_DOUBLE_EQ(adm.correction(Backend::kCpu, 0), 1.0);
 }
@@ -126,7 +126,7 @@ TEST(AdmissionControllerTest, LearnFlagFalseSuppressesTheUpdate) {
 TEST(AdmissionControllerTest, CellsAreIndependentPerBackendAndSize) {
   SloConfig cfg = EnabledConfig();
   cfg.ewma_alpha = 1.0;
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   adm.ObserveRun(Backend::kFpga, /*demand=*/2e6, 1.0, 1.0, 2.0, true);
   EXPECT_DOUBLE_EQ(adm.correction(Backend::kFpga, 2), 2.0);
   EXPECT_DOUBLE_EQ(adm.correction(Backend::kFpga, 0), 1.0);
@@ -139,7 +139,7 @@ TEST(AdmissionControllerTest, CellsAreIndependentPerBackendAndSize) {
 TEST(AdmissionControllerTest, BudgetIsTheTighterOfDeadlineAndClassSlo) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 2.0, 0.0};
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   EXPECT_DOUBLE_EQ(adm.BudgetSeconds(JobClass::kInteractive, 0.0), 0.5);
   EXPECT_DOUBLE_EQ(adm.BudgetSeconds(JobClass::kInteractive, 0.2), 0.2);
   EXPECT_DOUBLE_EQ(adm.BudgetSeconds(JobClass::kInteractive, 3.0), 0.5);
@@ -150,7 +150,7 @@ TEST(AdmissionControllerTest, BudgetIsTheTighterOfDeadlineAndClassSlo) {
 TEST(AdmissionControllerTest, JudgeAdmitsWithinBudgetAndCounts) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 2.0, 8.0};
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   const auto v = adm.Judge(JobClass::kBatch, 0.0, 1.5);
   EXPECT_TRUE(v.admit);
   EXPECT_TRUE(v.status.ok());
@@ -163,7 +163,7 @@ TEST(AdmissionControllerTest, JudgeAdmitsWithinBudgetAndCounts) {
 TEST(AdmissionControllerTest, SloRejectionIsTypedAndPerClassCounted) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 2.0, 8.0};
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   const auto v = adm.Judge(JobClass::kInteractive, 0.0, 1.0);
   EXPECT_FALSE(v.admit);
   EXPECT_TRUE(v.status.IsSloError());
@@ -178,7 +178,7 @@ TEST(AdmissionControllerTest, SloRejectionIsTypedAndPerClassCounted) {
 TEST(AdmissionControllerTest, DeadlineRejectionIsDistinguishedFromSlo) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 2.0, 8.0};
-  AdmissionController adm(cfg, 2, 1);
+  AdmissionController adm(cfg);
   // Deadline 0.1 s is tighter than the 2 s batch SLO: the deadline binds.
   const auto v = adm.Judge(JobClass::kBatch, 0.1, 1.0);
   EXPECT_FALSE(v.admit);
@@ -189,7 +189,7 @@ TEST(AdmissionControllerTest, DeadlineRejectionIsDistinguishedFromSlo) {
 }
 
 TEST(AdmissionControllerTest, UnconstrainedJobsAlwaysAdmit) {
-  AdmissionController adm(EnabledConfig(), 2, 1);  // no SLOs, no deadline
+  AdmissionController adm(EnabledConfig());  // no SLOs, no deadline
   const auto v = adm.Judge(JobClass::kBestEffort, 0.0, 1e9);
   EXPECT_TRUE(v.admit);
 }
@@ -199,18 +199,17 @@ TEST(AdmissionControllerTest, UnconstrainedJobsAlwaysAdmit) {
 TEST(AdmissionControllerTest, PendingLedgerAddsSubsAndFloorsAtZero) {
   using Account = BacklogLedger::Account;
   BacklogLedger ledger(/*virtual_time=*/false, 2, 1);
-  AdmissionController adm(EnabledConfig(), 2, 1, &ledger);
   ledger.Charge(Account::kPending, 0.0, 1.5);
   ledger.Charge(Account::kPending, 0.0, 0.5);
-  EXPECT_DOUBLE_EQ(adm.pending_seconds(), 2.0);
+  EXPECT_DOUBLE_EQ(ledger.pending_seconds(), 2.0);
   ledger.Credit(Account::kPending, -1, 1.5);
-  EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.5);
+  EXPECT_DOUBLE_EQ(ledger.pending_seconds(), 0.5);
   // Over-credit must clamp, not go negative.
   ledger.Credit(Account::kPending, -1, 10.0);
-  EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.pending_seconds(), 0.0);
   // Non-positive charges are ignored.
   ledger.Charge(Account::kPending, 0.0, -1.0);
-  EXPECT_DOUBLE_EQ(adm.pending_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(ledger.pending_seconds(), 0.0);
 }
 
 // ----------------------------------------------- placement-error histograms
@@ -229,7 +228,7 @@ TEST(AdmissionControllerTest, PlaceErrHistogramCellsMatchHandComputedErrors) {
   const obs::Histogram::Data fpga_before = fpga_large->Merged();
   const obs::Histogram::Data cpu_before = cpu_small->Merged();
 
-  AdmissionController adm(EnabledConfig(), 2, 1);
+  AdmissionController adm(EnabledConfig());
   // |1.0 - 0.75| / 1.0 = 25%; |1.0 - 0.5| / 1.0 = 50%; |1.0 - 1.5| = 50%
   // (all exactly representable, so the uint cast cannot truncate).
   adm.ObserveRun(Backend::kFpga, 2e6, 1.0, 0.75, 1.0, false);
@@ -261,10 +260,10 @@ TEST(AdmissionControllerTest, PlaceErrHistogramCellsMatchHandComputedErrors) {
 TEST(AdmissionControllerTest, HighCpuPressureRecommendsGrowthWithinRoom) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 2.0, 8.0};  // tightest SLO = 0.5 s
-  AdmissionController adm(cfg, 2, 1);
-  const auto p = adm.UpdatePressure(/*cpu_backlog=*/2.0, /*device=*/0.0,
+  AdmissionController adm(cfg);
+  const auto p = adm.UpdatePressure(/*cpu_wait=*/1.0, /*device=*/0.0,
                                     /*active=*/2, /*max=*/8, /*devices=*/1);
-  // cpu pressure = 2.0 / (2 workers x 0.5 s) = 2.0.
+  // cpu pressure = 1.0 s wait / 0.5 s = 2.0.
   EXPECT_DOUBLE_EQ(p.value, 2.0);
   EXPECT_EQ(p.worker_delta, 2);  // ceil((2-1) x 2), room is 6
   EXPECT_EQ(p.device_delta, 0);
@@ -273,16 +272,16 @@ TEST(AdmissionControllerTest, HighCpuPressureRecommendsGrowthWithinRoom) {
 TEST(AdmissionControllerTest, GrowthRecommendationIsClampedToMaxWorkers) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 0.0, 0.0};
-  AdmissionController adm(cfg, 2, 1);
-  const auto p = adm.UpdatePressure(100.0, 0.0, 2, 3, 1);
+  AdmissionController adm(cfg);
+  const auto p = adm.UpdatePressure(50.0, 0.0, 2, 3, 1);
   EXPECT_EQ(p.worker_delta, 1);  // wants far more, only 1 slot of room
 }
 
 TEST(AdmissionControllerTest, LowPressureRecommendsShrinkByOne) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {0.5, 0.0, 0.0};
-  AdmissionController adm(cfg, 2, 1);
-  const auto p = adm.UpdatePressure(0.1, 0.0, 4, 8, 1);
+  AdmissionController adm(cfg);
+  const auto p = adm.UpdatePressure(0.025, 0.0, 4, 8, 1);
   EXPECT_LT(p.value, cfg.pressure_low);
   EXPECT_EQ(p.worker_delta, -1);
 }
@@ -290,16 +289,17 @@ TEST(AdmissionControllerTest, LowPressureRecommendsShrinkByOne) {
 TEST(AdmissionControllerTest, HysteresisBandRecommendsNothing) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {1.0, 0.0, 0.0};
-  AdmissionController adm(cfg, 2, 1);
-  // pressure = 1.5 / (2 x 1.0) = 0.75: between low (0.5) and high (1.0).
-  const auto p = adm.UpdatePressure(1.5, 0.0, 2, 8, 1);
+  AdmissionController adm(cfg);
+  // pressure = 0.75 s wait / 1.0 s = 0.75: between low (0.5) and high
+  // (1.0).
+  const auto p = adm.UpdatePressure(0.75, 0.0, 2, 8, 1);
   EXPECT_EQ(p.worker_delta, 0);
 }
 
 TEST(AdmissionControllerTest, DevicePressureUsesTheDeviceAxis) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {1.0, 0.0, 0.0};
-  AdmissionController adm(cfg, 2, 2);
+  AdmissionController adm(cfg);
   const auto p = adm.UpdatePressure(0.0, 6.0, 2, 2, 2);
   // device pressure = 6 / (2 devices x 1 s) = 3.
   EXPECT_DOUBLE_EQ(p.value, 3.0);
@@ -312,10 +312,12 @@ TEST(AdmissionControllerTest, PendingWorkCountsTowardCpuPressure) {
   SloConfig cfg = EnabledConfig();
   cfg.class_slo_seconds = {1.0, 0.0, 0.0};
   BacklogLedger ledger(/*virtual_time=*/false, 2, 1);
-  AdmissionController adm(cfg, 2, 1, &ledger);
+  AdmissionController adm(cfg);
   ledger.Charge(BacklogLedger::Account::kPending, 0.0, 4.0);
-  const auto p = adm.UpdatePressure(0.0, 0.0, 2, 8, 1);
-  EXPECT_DOUBLE_EQ(p.value, 2.0);  // (0 + 4 pending) / (2 x 1 s)
+  const double cpu_wait =
+      ledger.QuoteWaits(0.0, 2, /*with_pending=*/true).cpu_wait;
+  const auto p = adm.UpdatePressure(cpu_wait, 0.0, 2, 8, 1);
+  EXPECT_DOUBLE_EQ(p.value, 2.0);  // (0 + 4 pending) / 2 workers / 1 s
 }
 
 // ------------------------------------------- scheduler: deterministic mode
@@ -631,7 +633,7 @@ TEST(SchedulerAdmissionTest, LivePendingLedgerDrainsToZero) {
   scheduler.Shutdown();
   // Every admitted charge was credited when its job left the queue (up to
   // floating-point residue of the add/sub sequence).
-  EXPECT_NEAR(scheduler.admission().pending_seconds(), 0.0, 1e-9);
+  EXPECT_NEAR(scheduler.ledger().pending_seconds(), 0.0, 1e-9);
 }
 
 TEST(SchedulerAdmissionTest, PendingChargeReleasedWhenQueueShedsTheJob) {
@@ -663,7 +665,7 @@ TEST(SchedulerAdmissionTest, PendingChargeReleasedWhenQueueShedsTheJob) {
   scheduler.Resume();
   for (auto& h : handles) h.Wait();
   scheduler.Shutdown();
-  EXPECT_NEAR(scheduler.admission().pending_seconds(), 0.0, 1e-9);
+  EXPECT_NEAR(scheduler.ledger().pending_seconds(), 0.0, 1e-9);
 }
 
 TEST(SchedulerAdmissionTest, ParkedWorkersActivateViaSetActiveWorkers) {
@@ -822,7 +824,7 @@ TEST(SchedulerAdmissionStressTest, RacedSubmitCompleteAndReconfigure) {
   EXPECT_EQ(completed.load() + rejected.load() + shed.load(),
             kClients * kPerClient);
   EXPECT_GT(completed.load(), 0u);
-  EXPECT_NEAR(scheduler.admission().pending_seconds(), 0.0, 1e-9);
+  EXPECT_NEAR(scheduler.ledger().pending_seconds(), 0.0, 1e-9);
 }
 
 }  // namespace

@@ -406,7 +406,7 @@ TEST(AdmissionPropertyTest, EwmaConvergesUnderRandomMiscalibration) {
     SloConfig cfg;
     cfg.enabled = true;
     cfg.ewma_alpha = 0.05 + rng.NextDouble() * 0.9;
-    AdmissionController adm(cfg, 2, 1);
+    AdmissionController adm(cfg);
     const double k = 0.1 + rng.NextDouble() * 6.0;  // may exceed the clamp
     const auto backend =
         static_cast<Backend>(trial % static_cast<int>(kNumBackends));
@@ -485,7 +485,7 @@ TEST(AdmissionPropertyTest, RacedSubmitRejectReconfigureStress) {
   reconfig.join();
   scheduler.Shutdown();
   EXPECT_EQ(terminal.load(), kClients * kPerClient);
-  EXPECT_NEAR(scheduler.admission().pending_seconds(), 0.0, 1e-9);
+  EXPECT_NEAR(scheduler.ledger().pending_seconds(), 0.0, 1e-9);
 }
 
 }  // namespace

@@ -116,8 +116,7 @@ TEST(TopologyTest, PinPlanScatterOnePerCoreBeforeSiblings) {
 }
 
 TEST(TopologyTest, PinPlanNumaLocalIsNodeMajorContiguous) {
-  // The ParallelForNodeChunks contract: workers of one node occupy one
-  // contiguous index block.
+  // Workers of one node occupy one contiguous index block.
   Topology topo = Topology::Synthetic(2, 4, 2);
   auto plan = topo.PinPlan(AffinityPolicy::kNumaLocal, 8);
   ASSERT_EQ(plan.size(), 8u);
