@@ -5,7 +5,9 @@
 // `--json [n]` switches to a whole-simulator throughput report instead:
 // one RID/PAD partitioning run (default 10M tuples) under both execution
 // engines, printed as a JSON object with host-side sim-cycles/s and the
-// reference→fast speedup (see scripts/bench_sim.sh).
+// reference→fast speedup (see scripts/bench_sim.sh). It doubles as an
+// equivalence gate: any difference in CycleStats, PartitionInfo or output
+// bytes between the engines exits 1.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -102,6 +104,53 @@ int RunEngine(const std::vector<Tuple8>& tuples, SimMode mode,
   return 0;
 }
 
+/// Equivalence gate: both engines must agree on every CycleStats field,
+/// every PartitionInfo and every output byte. Prints each mismatch.
+bool SameRun(const FpgaRunResult<Tuple8>& ref,
+             const FpgaRunResult<Tuple8>& fast) {
+  bool same = true;
+  auto check = [&](const char* what, uint64_t a, uint64_t b) {
+    if (a == b) return;
+    std::fprintf(stderr, "%s mismatch: reference=%llu fast=%llu\n", what,
+                 static_cast<unsigned long long>(a),
+                 static_cast<unsigned long long>(b));
+    same = false;
+  };
+  const CycleStats& a = ref.stats;
+  const CycleStats& b = fast.stats;
+  check("cycles", a.cycles, b.cycles);
+  check("input_lines", a.input_lines, b.input_lines);
+  check("output_lines", a.output_lines, b.output_lines);
+  check("read_lines", a.read_lines, b.read_lines);
+  check("backpressure_cycles", a.backpressure_cycles, b.backpressure_cycles);
+  check("read_stall_cycles", a.read_stall_cycles, b.read_stall_cycles);
+  check("write_stall_cycles", a.write_stall_cycles, b.write_stall_cycles);
+  check("internal_stall_cycles", a.internal_stall_cycles,
+        b.internal_stall_cycles);
+  check("dummy_tuples", a.dummy_tuples, b.dummy_tuples);
+  check("histogram_cycles", a.histogram_cycles, b.histogram_cycles);
+  check("flush_cycles", a.flush_cycles, b.flush_cycles);
+  check("partitions", ref.output.num_partitions(),
+        fast.output.num_partitions());
+  check("total_cls", ref.output.total_cls(), fast.output.total_cls());
+  if (!same) return false;
+  for (size_t p = 0; p < ref.output.num_partitions(); ++p) {
+    const PartitionInfo& x = ref.output.part(p);
+    const PartitionInfo& y = fast.output.part(p);
+    if (x.base_cl != y.base_cl || x.capacity_cls != y.capacity_cls ||
+        x.written_cls != y.written_cls || x.num_tuples != y.num_tuples) {
+      std::fprintf(stderr, "partition %zu info mismatch\n", p);
+      same = false;
+    }
+  }
+  if (std::memcmp(ref.output.line(0), fast.output.line(0),
+                  ref.output.total_cls() * kCacheLineSize) != 0) {
+    std::fprintf(stderr, "output bytes mismatch\n");
+    same = false;
+  }
+  return same;
+}
+
 int JsonMain(size_t n) {
   std::vector<Tuple8> tuples(n);
   Rng rng(7);
@@ -123,12 +172,7 @@ int JsonMain(size_t n) {
     if (r == 0 || fh < fast_host) fast_host = fh;
   }
 
-  if (ref.stats.cycles != fast.stats.cycles) {
-    std::fprintf(stderr, "cycle mismatch: reference=%llu fast=%llu\n",
-                 static_cast<unsigned long long>(ref.stats.cycles),
-                 static_cast<unsigned long long>(fast.stats.cycles));
-    return 1;
-  }
+  if (!SameRun(ref, fast)) return 1;
 
   auto cycles_per_sec = [](uint64_t cycles, double seconds) {
     return seconds > 0 ? cycles / seconds : 0.0;

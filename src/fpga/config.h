@@ -48,9 +48,10 @@ enum class LinkKind {
 enum class SimMode {
   /// Per-module Tick() loop, the clearest transcription of the VHDL.
   kReference,
-  /// Flat ring-buffer engine advancing steady-state windows in batched
-  /// inner loops (see src/fpga/fast_engine.h). Several times faster on
-  /// the host; cycle counts stay exact.
+  /// A timing loop over partition ids that logs each written line's
+  /// destination, then one data pass that moves the tuples there (see
+  /// src/fpga/fast_engine.h). Several times faster on the host; cycle
+  /// counts and output bytes stay exact.
   kFast,
 };
 

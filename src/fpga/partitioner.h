@@ -247,11 +247,15 @@ class FpgaPartitioner {
     if (cancelled()) {
       return Status::Cancelled("FPGA partition cancelled before start");
     }
+    // The fast engine hashes every tuple once; both passes replay the ids.
+    const std::vector<uint16_t> ids =
+        mode == SimMode::kFast ? FastCircuit<T>::PartitionIds(stager, fn_, n)
+                               : std::vector<uint16_t>();
     std::vector<std::vector<uint64_t>> lane_hist;
     if (config_.output_mode == OutputMode::kHist) {
       if (mode == SimMode::kFast) {
-        FastCircuit<T> circuit(config_, fn_, hazard_, stager);
-        FPART_RETURN_NOT_OK(circuit.HistogramPass(n, MaxCycles(n), &link,
+        FastCircuit<T> circuit(config_, hazard_, stager, n, ids);
+        FPART_RETURN_NOT_OK(circuit.HistogramPass(MaxCycles(n), &link,
                                                   &result.stats, &lane_hist));
       } else {
         FPART_RETURN_NOT_OK(
@@ -299,8 +303,8 @@ class FpgaPartitioner {
       return Status::Cancelled("FPGA partition cancelled between passes");
     }
     if (mode == SimMode::kFast) {
-      FastCircuit<T> circuit(config_, fn_, hazard_, stager);
-      FPART_RETURN_NOT_OK(circuit.PartitionPass(n, MaxCycles(n), &link,
+      FastCircuit<T> circuit(config_, hazard_, stager, n, ids);
+      FPART_RETURN_NOT_OK(circuit.PartitionPass(MaxCycles(n), &link,
                                                 &result.stats, &result.output));
     } else {
       FPART_RETURN_NOT_OK(

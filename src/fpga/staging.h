@@ -6,10 +6,11 @@
 // a key line into kKeysPerCacheLine/K groups, and the compressed layout
 // unpacks a FOR frame. Both simulator back ends (SimMode::kReference and
 // SimMode::kFast) share this code so the functional tuple stream is
-// identical by construction; only the cycle bookkeeping is implemented
-// twice.
+// identical by construction: the reference queues TupleGroups, the fast
+// engine tracks group counts and reads the tuples once in its data pass.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -68,92 +69,73 @@ class InputStager {
     return 1;
   }
 
-  /// RID and VRID group streams are uniform: global group `g` always
-  /// covers tuples [gK, min(n, gK+K)), so a consumer that tracks staging
-  /// occupancy as a counter can materialize each group on demand with
-  /// FillGroup instead of queueing TupleGroups. Compressed frames emit a
-  /// partial group at every frame boundary, so they must stay queued.
-  bool SupportsDirectGroups() const {
-    return config_.layout != LayoutMode::kCompressed;
+  /// Most tuples one read can produce (scratch size for ReadTuples).
+  static constexpr size_t kMaxTuplesPerRead =
+      std::max({static_cast<size_t>(K), static_cast<size_t>(kKeysPerCacheLine),
+                static_cast<size_t>(kMaxKeysPerFrame)});
+
+  /// Read `read_idx` carries the stream positions [ReadBegin, ReadEnd).
+  /// Reads are contiguous, so each begins where the previous one ends.
+  size_t ReadBegin(size_t read_idx) const {
+    switch (config_.layout) {
+      case LayoutMode::kCompressed:
+        return column_->frame_offset(read_idx);
+      case LayoutMode::kVrid:
+        return read_idx * kKeysPerCacheLine;
+      case LayoutMode::kRid:
+        break;
+    }
+    return read_idx * K;
+  }
+  size_t ReadEnd(size_t n, size_t read_idx) const {
+    return read_idx + 1 < TotalReads(n) ? ReadBegin(read_idx + 1) : n;
   }
 
-  /// Groups produced by read `read_idx` (direct-group layouts only).
+  /// Tuple groups of read `read_idx`: its tuples split into groups of K,
+  /// the last one partial. Every layout's read begins a new group, so the
+  /// tuple at stream position i enters lane (i - ReadBegin) mod K.
   size_t GroupsOfRead(size_t n, size_t read_idx) const {
-    const size_t per_read =
-        config_.layout == LayoutMode::kVrid ? kKeysPerCacheLine : K;
-    const size_t base = read_idx * per_read;
-    const size_t count = base < n ? (n - base < per_read ? n - base
-                                                         : per_read)
-                                  : 0;
-    return (count + K - 1) / K;
+    return (ReadEnd(n, read_idx) - ReadBegin(read_idx) + K - 1) / K;
   }
 
-  /// Materialize global group `group_idx` into `out[0..K)`; returns the
-  /// number of valid tuples (direct-group layouts only). Produces exactly
-  /// the tuples MaterializeGroups would queue for this position.
-  uint32_t FillGroup(size_t n, size_t group_idx, T* out) const {
-    const size_t base = group_idx * K;
-    const uint32_t count =
-        static_cast<uint32_t>(n - base < static_cast<size_t>(K) ? n - base
-                                                                : K);
-    if (config_.layout == LayoutMode::kVrid) {
-      for (uint32_t k = 0; k < count; ++k) {
-        T t{};
-        TupleTraits<T>::SetKey(&t, keys_[base + k]);
-        SetPayloadId(&t, base + k);  // the virtual record id
-        out[k] = t;
+  /// The tuples of read `read_idx` in stream order. RID points into the
+  /// input; the other layouts build them in `scratch` (kMaxTuplesPerRead
+  /// slots): VRID pairs each key with its virtual record id, and the
+  /// compressed layout first unpacks the FOR frame (the decompressor lane,
+  /// one cycle in hardware).
+  const T* ReadTuples(size_t n, size_t read_idx, T* scratch) const {
+    const size_t base = ReadBegin(read_idx);
+    if (config_.layout == LayoutMode::kRid) return tuples_ + base;
+    const size_t count = ReadEnd(n, read_idx) - base;
+    if (config_.layout == LayoutMode::kCompressed) {
+      uint32_t keys[kMaxKeysPerFrame];
+      column_->DecodeFrame(read_idx, keys);
+      for (size_t k = 0; k < count; ++k) {
+        scratch[k] = T{};
+        TupleTraits<T>::SetKey(&scratch[k], keys[k]);
+        SetPayloadId(&scratch[k], base + k);
       }
     } else {
-      for (uint32_t k = 0; k < count; ++k) out[k] = tuples_[base + k];
+      for (size_t k = 0; k < count; ++k) {
+        scratch[k] = T{};
+        TupleTraits<T>::SetKey(&scratch[k], keys_[base + k]);
+        SetPayloadId(&scratch[k], base + k);  // the virtual record id
+      }
     }
-    return count;
+    return scratch;
   }
 
   /// Materialize the tuple groups of cache line `read_idx` into `staging`.
   void MaterializeGroups(size_t n, size_t read_idx,
                          std::deque<TupleGroup<T>>* staging) const {
-    if (config_.layout == LayoutMode::kCompressed) {
-      // The decompressor lane: unpack one frame (one cycle in hardware)
-      // into key groups, appending virtual record ids.
-      uint32_t scratch[kMaxKeysPerFrame];
-      const int count = column_->DecodeFrame(read_idx, scratch);
-      const uint64_t base = column_->frame_offset(read_idx);
+    T scratch[kMaxTuplesPerRead];
+    const T* tuples = ReadTuples(n, read_idx, scratch);
+    const size_t count = ReadEnd(n, read_idx) - ReadBegin(read_idx);
+    for (size_t i = 0; i < count; i += K) {
       TupleGroup<T> group;
-      for (int k = 0; k < count; ++k) {
-        T t{};
-        TupleTraits<T>::SetKey(&t, scratch[k]);
-        SetPayloadId(&t, base + k);
-        group.tuples[group.count++] = t;
-        if (group.count == K) {
-          staging->push_back(group);
-          group = TupleGroup<T>{};
-        }
-      }
-      if (group.count > 0) staging->push_back(group);
-      return;
-    }
-    if (config_.layout == LayoutMode::kVrid) {
-      size_t base = read_idx * kKeysPerCacheLine;
-      for (size_t g = 0; g < GroupsPerRead(); ++g) {
-        TupleGroup<T> group;
-        for (int k = 0; k < K; ++k) {
-          size_t idx = base + g * K + k;
-          if (idx >= n) break;
-          T t{};
-          TupleTraits<T>::SetKey(&t, keys_[idx]);
-          SetPayloadId(&t, idx);  // the virtual record id
-          group.tuples[group.count++] = t;
-        }
-        if (group.count > 0) staging->push_back(group);
-      }
-    } else {
-      size_t base = read_idx * K;
-      TupleGroup<T> group;
-      for (int k = 0; k < K; ++k) {
-        if (base + k >= n) break;
-        group.tuples[group.count++] = tuples_[base + k];
-      }
-      if (group.count > 0) staging->push_back(group);
+      group.count = static_cast<uint8_t>(std::min<size_t>(K, count - i));
+      std::copy_n(tuples + i, group.count, group.tuples.begin());
+      staging->push_back(group);
     }
   }
 

@@ -62,16 +62,16 @@ void PartitionFn::ApplyBatch(const uint32_t* keys, uint32_t* out,
   if (level == SimdLevel::kAvx512) {
     switch (method_) {
       case HashMethod::kRadix:
-        simd::RadixBatch32Avx512(keys, out, n, bits_, shift_);
+        simd::RadixBatch32Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kMurmur:
-        simd::MurmurBatch32Avx512(keys, out, n, bits_, shift_);
+        simd::MurmurBatch32Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kMultiplicative:
-        simd::MultiplicativeBatch32Avx512(keys, out, n, bits_, shift_);
+        simd::MultiplicativeBatch32Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kCrc32:
-        simd::Crc32Batch32Hw(keys, out, n, bits_, shift_);
+        simd::Crc32Batch32Hw(keys, out, n, bits_);
         return;
       case HashMethod::kRange:
         break;  // no vector kernel; fall through to the scalar loop
@@ -79,16 +79,16 @@ void PartitionFn::ApplyBatch(const uint32_t* keys, uint32_t* out,
   } else if (level == SimdLevel::kAvx2) {
     switch (method_) {
       case HashMethod::kRadix:
-        simd::RadixBatch32Avx2(keys, out, n, bits_, shift_);
+        simd::RadixBatch32Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kMurmur:
-        simd::MurmurBatch32Avx2(keys, out, n, bits_, shift_);
+        simd::MurmurBatch32Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kMultiplicative:
-        simd::MultiplicativeBatch32Avx2(keys, out, n, bits_, shift_);
+        simd::MultiplicativeBatch32Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kCrc32:
-        simd::Crc32Batch32Hw(keys, out, n, bits_, shift_);
+        simd::Crc32Batch32Hw(keys, out, n, bits_);
         return;
       case HashMethod::kRange:
         break;  // no vector kernel; fall through to the scalar loop
@@ -105,16 +105,16 @@ void PartitionFn::ApplyBatch64(const uint64_t* keys, uint32_t* out,
   if (level == SimdLevel::kAvx512) {
     switch (method_) {
       case HashMethod::kRadix:
-        simd::RadixBatch64Avx512(keys, out, n, bits_, shift_);
+        simd::RadixBatch64Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kMurmur:
-        simd::MurmurBatch64Avx512(keys, out, n, bits_, shift_);
+        simd::MurmurBatch64Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kMultiplicative:
-        simd::MultiplicativeBatch64Avx512(keys, out, n, bits_, shift_);
+        simd::MultiplicativeBatch64Avx512(keys, out, n, bits_);
         return;
       case HashMethod::kCrc32:
-        simd::Crc32Batch64Hw(keys, out, n, bits_, shift_);
+        simd::Crc32Batch64Hw(keys, out, n, bits_);
         return;
       case HashMethod::kRange:
         break;  // no vector kernel; fall through to the scalar loop
@@ -122,16 +122,16 @@ void PartitionFn::ApplyBatch64(const uint64_t* keys, uint32_t* out,
   } else if (level == SimdLevel::kAvx2) {
     switch (method_) {
       case HashMethod::kRadix:
-        simd::RadixBatch64Avx2(keys, out, n, bits_, shift_);
+        simd::RadixBatch64Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kMurmur:
-        simd::MurmurBatch64Avx2(keys, out, n, bits_, shift_);
+        simd::MurmurBatch64Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kMultiplicative:
-        simd::MultiplicativeBatch64Avx2(keys, out, n, bits_, shift_);
+        simd::MultiplicativeBatch64Avx2(keys, out, n, bits_);
         return;
       case HashMethod::kCrc32:
-        simd::Crc32Batch64Hw(keys, out, n, bits_, shift_);
+        simd::Crc32Batch64Hw(keys, out, n, bits_);
         return;
       case HashMethod::kRange:
         break;  // no vector kernel; fall through to the scalar loop

@@ -47,14 +47,8 @@ uint32_t Crc32c64(uint64_t key);
 /// power-of-two fan-outs so the partition index is a bit-slice).
 class PartitionFn {
  public:
-  /// \param shift  skip this many low bits of the (hashed) key before
-  ///               slicing, so a two-pass decomposition's first pass
-  ///               can cluster on the high bits of the radix window.
-  PartitionFn(HashMethod method, uint32_t fanout, int shift = 0)
-      : method_(method),
-        fanout_(fanout),
-        bits_(FanoutBits(fanout)),
-        shift_(shift) {}
+  PartitionFn(HashMethod method, uint32_t fanout)
+      : method_(method), fanout_(fanout), bits_(FanoutBits(fanout)) {}
 
   /// Range partitioner over `splitters` (sorted ascending; exactly
   /// fanout-1 entries). Key k maps to the number of splitters ≤ k.
@@ -69,7 +63,6 @@ class PartitionFn {
 
   uint32_t fanout() const { return fanout_; }
   int bits() const { return bits_; }
-  int shift() const { return shift_; }
   HashMethod method() const { return method_; }
   const std::vector<uint64_t>& splitters() const { return *splitters_; }
 
@@ -78,19 +71,16 @@ class PartitionFn {
     if (method_ == HashMethod::kRange) return RangeIndex(key);
     switch (method_) {
       case HashMethod::kRadix:
-        return RadixBits(key >> shift_, bits_);
+        return RadixBits(key, bits_);
       case HashMethod::kMurmur:
-        return RadixBits(Murmur32(key) >> shift_, bits_);
+        return RadixBits(Murmur32(key), bits_);
       case HashMethod::kMultiplicative:
         // Knuth multiplicative hashing: take the *top* bits of the product.
-        return bits_ == 0 ? 0
-                          : RadixBits((key * 2654435769U) >>
-                                          (32 - bits_ - shift_ > 0
-                                               ? 32 - bits_ - shift_
-                                               : 0),
-                                      bits_);
+        return bits_ == 0
+                   ? 0
+                   : RadixBits((key * 2654435769U) >> (32 - bits_), bits_);
       case HashMethod::kCrc32:
-        return RadixBits(Crc32c64(key) >> shift_, bits_);
+        return RadixBits(Crc32c64(key), bits_);
       case HashMethod::kRange:
         break;  // handled above
     }
@@ -111,19 +101,16 @@ class PartitionFn {
     if (method_ == HashMethod::kRange) return RangeIndex(key);
     switch (method_) {
       case HashMethod::kRadix:
-        return RadixBits(key >> shift_, bits_);
+        return RadixBits(key, bits_);
       case HashMethod::kMurmur:
-        return RadixBits(Murmur64(key) >> shift_, bits_);
+        return RadixBits(Murmur64(key), bits_);
       case HashMethod::kMultiplicative:
-        return bits_ == 0
-                   ? 0
-                   : RadixBits((key * 0x9e3779b97f4a7c15ULL) >>
-                                   (64 - bits_ - shift_ > 0
-                                        ? 64 - bits_ - shift_
-                                        : 0),
-                               bits_);
+        return bits_ == 0 ? 0
+                          : RadixBits((key * 0x9e3779b97f4a7c15ULL) >>
+                                          (64 - bits_),
+                                      bits_);
       case HashMethod::kCrc32:
-        return RadixBits(Crc32c64(key) >> shift_, bits_);
+        return RadixBits(Crc32c64(key), bits_);
       case HashMethod::kRange:
         break;  // handled above
     }
@@ -142,7 +129,6 @@ class PartitionFn {
   HashMethod method_;
   uint32_t fanout_;
   int bits_;
-  int shift_;
   /// kRange only; shared so PartitionFn stays cheap to copy.
   std::shared_ptr<const std::vector<uint64_t>> splitters_;
 };

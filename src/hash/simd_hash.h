@@ -75,18 +75,16 @@ FPART_TARGET_AVX2 inline __m256i Murmur64x4(__m256i k) {
   return k;
 }
 
-/// Shift 8x32 right by the (variable) scalar `s`, then mask to `bits`.
-FPART_TARGET_AVX2 inline __m256i SliceBits32(__m256i v, int s, int bits) {
-  v = _mm256_srl_epi32(v, _mm_cvtsi32_si128(s));
+/// Mask 8x32 to their low `bits`.
+FPART_TARGET_AVX2 inline __m256i SliceBits32(__m256i v, int bits) {
   const uint32_t mask =
       bits >= 32 ? ~uint32_t{0} : (uint32_t{1} << bits) - 1;
   return _mm256_and_si256(v, _mm256_set1_epi32(static_cast<int>(mask)));
 }
 
-/// Shift 4x64 right by `s`, mask to `bits`, and compact the four results
-/// into the low 128 bits as 4x32 (partition indices always fit 32 bits).
-FPART_TARGET_AVX2 inline __m128i SliceBits64(__m256i v, int s, int bits) {
-  v = _mm256_srl_epi64(v, _mm_cvtsi32_si128(s));
+/// Mask 4x64 to their low `bits` and compact the four results into the
+/// low 128 bits as 4x32 (partition indices always fit 32 bits).
+FPART_TARGET_AVX2 inline __m128i SliceBits64(__m256i v, int bits) {
   const uint64_t mask =
       bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
   v = _mm256_and_si256(v, _mm256_set1_epi64x(static_cast<long long>(mask)));
@@ -97,81 +95,81 @@ FPART_TARGET_AVX2 inline __m128i SliceBits64(__m256i v, int s, int bits) {
 
 }  // namespace detail
 
-/// 8-wide radix slice of 32-bit keys: out[i] = (keys[i] >> shift) & mask.
+/// 8-wide radix slice of 32-bit keys: out[i] = keys[i] & mask.
 FPART_TARGET_AVX2 inline void RadixBatch32Avx2(const uint32_t* keys,
                                                uint32_t* out, size_t n,
-                                               int bits, int shift) {
+                                               int bits) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        detail::SliceBits32(k, shift, bits));
+                        detail::SliceBits32(k, bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(keys[i] >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(keys[i], bits);
 }
 
 /// 4-wide radix slice of 64-bit keys.
 FPART_TARGET_AVX2 inline void RadixBatch64Avx2(const uint64_t* keys,
                                                uint32_t* out, size_t n,
-                                               int bits, int shift) {
+                                               int bits) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     detail::SliceBits64(k, shift, bits));
+                     detail::SliceBits64(k, bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(keys[i] >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(keys[i], bits);
 }
 
 /// 8-wide murmur partition index of 32-bit keys.
 FPART_TARGET_AVX2 inline void MurmurBatch32Avx2(const uint32_t* keys,
                                                 uint32_t* out, size_t n,
-                                                int bits, int shift) {
+                                                int bits) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(out + i),
-        detail::SliceBits32(detail::Murmur32x8(k), shift, bits));
+        detail::SliceBits32(detail::Murmur32x8(k), bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(Murmur32(keys[i]) >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(Murmur32(keys[i]), bits);
 }
 
 /// 4-wide murmur partition index of 64-bit keys.
 FPART_TARGET_AVX2 inline void MurmurBatch64Avx2(const uint64_t* keys,
                                                 uint32_t* out, size_t n,
-                                                int bits, int shift) {
+                                                int bits) {
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     detail::SliceBits64(detail::Murmur64x4(k), shift, bits));
+                     detail::SliceBits64(detail::Murmur64x4(k), bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(Murmur64(keys[i]) >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(Murmur64(keys[i]), bits);
 }
 
 /// 8-wide multiplicative (Fibonacci) partition index of 32-bit keys.
-/// Mirrors the scalar top-bits slice including its clamped shift.
+/// Mirrors the scalar top-bits slice.
 FPART_TARGET_AVX2 inline void MultiplicativeBatch32Avx2(const uint32_t* keys,
                                                         uint32_t* out,
-                                                        size_t n, int bits,
-                                                        int shift) {
+                                                        size_t n, int bits) {
   if (bits == 0) {
     for (size_t i = 0; i < n; ++i) out[i] = 0;
     return;
   }
-  const int s = 32 - bits - shift > 0 ? 32 - bits - shift : 0;
+  const int s = 32 - bits;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     k = _mm256_mullo_epi32(k, _mm256_set1_epi32(static_cast<int>(2654435769U)));
+    k = _mm256_srl_epi32(k, _mm_cvtsi32_si128(s));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        detail::SliceBits32(k, s, bits));
+                        detail::SliceBits32(k, bits));
   }
   for (; i < n; ++i) {
     out[i] = RadixBits((keys[i] * 2654435769U) >> s, bits);
@@ -181,20 +179,20 @@ FPART_TARGET_AVX2 inline void MultiplicativeBatch32Avx2(const uint32_t* keys,
 /// 4-wide multiplicative partition index of 64-bit keys.
 FPART_TARGET_AVX2 inline void MultiplicativeBatch64Avx2(const uint64_t* keys,
                                                         uint32_t* out,
-                                                        size_t n, int bits,
-                                                        int shift) {
+                                                        size_t n, int bits) {
   if (bits == 0) {
     for (size_t i = 0; i < n; ++i) out[i] = 0;
     return;
   }
-  const int s = 64 - bits - shift > 0 ? 64 - bits - shift : 0;
+  const int s = 64 - bits;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     __m256i k =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(keys + i));
     k = detail::MulLo64(k, 0x9e3779b97f4a7c15ULL);
+    k = _mm256_srl_epi64(k, _mm_cvtsi32_si128(s));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     detail::SliceBits64(k, s, bits));
+                     detail::SliceBits64(k, bits));
   }
   for (; i < n; ++i) {
     out[i] = RadixBits((keys[i] * 0x9e3779b97f4a7c15ULL) >> s, bits);
@@ -212,17 +210,17 @@ FPART_TARGET_CRC inline uint32_t Crc32c64Hw(uint64_t key) {
 
 FPART_TARGET_CRC inline void Crc32Batch32Hw(const uint32_t* keys,
                                             uint32_t* out, size_t n,
-                                            int bits, int shift) {
+                                            int bits) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = RadixBits(Crc32c64Hw(keys[i]) >> shift, bits);
+    out[i] = RadixBits(Crc32c64Hw(keys[i]), bits);
   }
 }
 
 FPART_TARGET_CRC inline void Crc32Batch64Hw(const uint64_t* keys,
                                             uint32_t* out, size_t n,
-                                            int bits, int shift) {
+                                            int bits) {
   for (size_t i = 0; i < n; ++i) {
-    out[i] = RadixBits(Crc32c64Hw(keys[i]) >> shift, bits);
+    out[i] = RadixBits(Crc32c64Hw(keys[i]), bits);
   }
 }
 
@@ -341,17 +339,15 @@ FPART_TARGET_AVX512 inline __m512i Murmur64x8(__m512i k) {
   return k;
 }
 
-/// Shift 16x32 right by the (variable) scalar `s`, then mask to `bits`.
-FPART_TARGET_AVX512 inline __m512i SliceBits32x16(__m512i v, int s, int bits) {
-  v = _mm512_srl_epi32(v, _mm_cvtsi32_si128(s));
+/// Mask 16x32 to their low `bits`.
+FPART_TARGET_AVX512 inline __m512i SliceBits32x16(__m512i v, int bits) {
   const uint32_t mask =
       bits >= 32 ? ~uint32_t{0} : (uint32_t{1} << bits) - 1;
   return _mm512_and_si512(v, _mm512_set1_epi32(static_cast<int>(mask)));
 }
 
-/// Shift 8x64 right by `s`, mask to `bits`, and narrow to 8x32 (vpmovqd).
-FPART_TARGET_AVX512 inline __m256i SliceBits64x8(__m512i v, int s, int bits) {
-  v = _mm512_srl_epi64(v, _mm_cvtsi32_si128(s));
+/// Mask 8x64 to their low `bits` and narrow to 8x32 (vpmovqd).
+FPART_TARGET_AVX512 inline __m256i SliceBits64x8(__m512i v, int bits) {
   const uint64_t mask =
       bits >= 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
   v = _mm512_and_si512(v, _mm512_set1_epi64(static_cast<long long>(mask)));
@@ -363,68 +359,69 @@ FPART_TARGET_AVX512 inline __m256i SliceBits64x8(__m512i v, int s, int bits) {
 /// 16-wide radix slice of 32-bit keys.
 FPART_TARGET_AVX512 inline void RadixBatch32Avx512(const uint32_t* keys,
                                                    uint32_t* out, size_t n,
-                                                   int bits, int shift) {
+                                                   int bits) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m512i k = _mm512_loadu_si512(keys + i);
-    _mm512_storeu_si512(out + i, detail::SliceBits32x16(k, shift, bits));
+    _mm512_storeu_si512(out + i, detail::SliceBits32x16(k, bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(keys[i] >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(keys[i], bits);
 }
 
 /// 8-wide radix slice of 64-bit keys.
 FPART_TARGET_AVX512 inline void RadixBatch64Avx512(const uint64_t* keys,
                                                    uint32_t* out, size_t n,
-                                                   int bits, int shift) {
+                                                   int bits) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512i k = _mm512_loadu_si512(keys + i);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        detail::SliceBits64x8(k, shift, bits));
+                        detail::SliceBits64x8(k, bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(keys[i] >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(keys[i], bits);
 }
 
 /// 16-wide murmur partition index of 32-bit keys.
 FPART_TARGET_AVX512 inline void MurmurBatch32Avx512(const uint32_t* keys,
                                                     uint32_t* out, size_t n,
-                                                    int bits, int shift) {
+                                                    int bits) {
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m512i k = _mm512_loadu_si512(keys + i);
     _mm512_storeu_si512(
-        out + i, detail::SliceBits32x16(detail::Murmur32x16(k), shift, bits));
+        out + i, detail::SliceBits32x16(detail::Murmur32x16(k), bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(Murmur32(keys[i]) >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(Murmur32(keys[i]), bits);
 }
 
 /// 8-wide murmur partition index of 64-bit keys.
 FPART_TARGET_AVX512 inline void MurmurBatch64Avx512(const uint64_t* keys,
                                                     uint32_t* out, size_t n,
-                                                    int bits, int shift) {
+                                                    int bits) {
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512i k = _mm512_loadu_si512(keys + i);
     _mm256_storeu_si256(
         reinterpret_cast<__m256i*>(out + i),
-        detail::SliceBits64x8(detail::Murmur64x8(k), shift, bits));
+        detail::SliceBits64x8(detail::Murmur64x8(k), bits));
   }
-  for (; i < n; ++i) out[i] = RadixBits(Murmur64(keys[i]) >> shift, bits);
+  for (; i < n; ++i) out[i] = RadixBits(Murmur64(keys[i]), bits);
 }
 
 /// 16-wide multiplicative (Fibonacci) partition index of 32-bit keys.
 FPART_TARGET_AVX512 inline void MultiplicativeBatch32Avx512(
-    const uint32_t* keys, uint32_t* out, size_t n, int bits, int shift) {
+    const uint32_t* keys, uint32_t* out, size_t n, int bits) {
   if (bits == 0) {
     for (size_t i = 0; i < n; ++i) out[i] = 0;
     return;
   }
-  const int s = 32 - bits - shift > 0 ? 32 - bits - shift : 0;
+  const int s = 32 - bits;
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     __m512i k = _mm512_loadu_si512(keys + i);
     k = _mm512_mullo_epi32(k, _mm512_set1_epi32(static_cast<int>(2654435769U)));
-    _mm512_storeu_si512(out + i, detail::SliceBits32x16(k, s, bits));
+    k = _mm512_srl_epi32(k, _mm_cvtsi32_si128(s));
+    _mm512_storeu_si512(out + i, detail::SliceBits32x16(k, bits));
   }
   for (; i < n; ++i) {
     out[i] = RadixBits((keys[i] * 2654435769U) >> s, bits);
@@ -433,19 +430,20 @@ FPART_TARGET_AVX512 inline void MultiplicativeBatch32Avx512(
 
 /// 8-wide multiplicative partition index of 64-bit keys.
 FPART_TARGET_AVX512 inline void MultiplicativeBatch64Avx512(
-    const uint64_t* keys, uint32_t* out, size_t n, int bits, int shift) {
+    const uint64_t* keys, uint32_t* out, size_t n, int bits) {
   if (bits == 0) {
     for (size_t i = 0; i < n; ++i) out[i] = 0;
     return;
   }
-  const int s = 64 - bits - shift > 0 ? 64 - bits - shift : 0;
+  const int s = 64 - bits;
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     __m512i k = _mm512_loadu_si512(keys + i);
     k = _mm512_mullo_epi64(
         k, _mm512_set1_epi64(static_cast<long long>(0x9e3779b97f4a7c15ULL)));
+    k = _mm512_srl_epi64(k, _mm_cvtsi32_si128(s));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        detail::SliceBits64x8(k, s, bits));
+                        detail::SliceBits64x8(k, bits));
   }
   for (; i < n; ++i) {
     out[i] = RadixBits((keys[i] * 0x9e3779b97f4a7c15ULL) >> s, bits);

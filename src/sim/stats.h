@@ -1,8 +1,9 @@
 // Cycle statistics collected by the circuit simulator.
 //
-// Both execution engines (the reference loop and FastCircuit) fill the
-// same counters with cycle-identical values — tests/sim_fastpath_test.cc
-// asserts field-by-field equality. After a run the counters are published
+// Both execution engines (the reference loop and FastCircuit's timing
+// loop, which carries partition ids only) fill the same counters with
+// cycle-identical values — tests/sim_fastpath_test.cc and
+// tests/sim_shapes_test.cc assert field-by-field equality. After a run the counters are published
 // to the obs metrics registry under the `sim.*` / `qpi.*` names catalogued
 // in docs/observability.md.
 #pragma once

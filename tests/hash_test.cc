@@ -108,28 +108,6 @@ TEST(PartitionFnTest, RadixUsesLsbsDirectly) {
   EXPECT_EQ(fn.Apply64(0x12345678u), 0x12345678ull & 8191u);
 }
 
-TEST(PartitionFnTest, ShiftSelectsHigherBits) {
-  // Multi-pass: pass 1 on bits [3, 6) must see only those bits.
-  PartitionFn fn(HashMethod::kRadix, 8, /*shift=*/3);
-  EXPECT_EQ(fn(0b101010u), 0b101u);
-  // Low bits do not influence the result.
-  EXPECT_EQ(fn(0b101010u), fn(0b101111u));
-}
-
-TEST(PartitionFnTest, TwoPassDecompositionMatchesSinglePass) {
-  // p == (p1 << low_bits) | p2 for every method (multi-pass invariant).
-  for (HashMethod m : {HashMethod::kRadix, HashMethod::kMurmur,
-                       HashMethod::kCrc32}) {
-    PartitionFn full(m, 64);       // 6 bits
-    PartitionFn high(m, 8, 3);     // top 3 of the 6
-    PartitionFn low(m, 8, 0);      // bottom 3
-    for (uint32_t k = 1; k < 4000; k += 7) {
-      EXPECT_EQ(full(k), (high(k) << 3 | low(k)))
-          << "method=" << HashMethodName(m) << " key=" << k;
-    }
-  }
-}
-
 TEST(PartitionFnTest, MurmurSpreadsGridKeysRadixDoesNot) {
   // The Section 3.2 motivation in miniature: grid-like keys (multiples of
   // 256) collapse under radix partitioning but spread under murmur.

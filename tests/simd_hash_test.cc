@@ -20,17 +20,20 @@
 namespace fpart {
 namespace {
 
-std::vector<uint32_t> TestKeys32() {
+/// The adversarial and random keys, narrowed by `key_shift` bits (keys
+/// whose high bits are clear, like dense integer ids).
+std::vector<uint32_t> TestKeys32(int key_shift) {
   std::vector<uint32_t> keys = {
       0,          1,          2,          0x7fffffffU, 0x80000000U,
       0x80000001U, 0xfffffffeU, 0xffffffffU, 0xdeadbeefU,
       static_cast<uint32_t>(kDummyKey)};
   Rng rng(101);
   for (int i = 0; i < 10000; ++i) keys.push_back(rng.Next32());
+  for (uint32_t& k : keys) k >>= key_shift;
   return keys;
 }
 
-std::vector<uint64_t> TestKeys64() {
+std::vector<uint64_t> TestKeys64(int key_shift) {
   std::vector<uint64_t> keys = {0,
                                 1,
                                 2,
@@ -44,21 +47,23 @@ std::vector<uint64_t> TestKeys64() {
                                 0xffffffff00000000ULL};
   Rng rng(103);
   for (int i = 0; i < 10000; ++i) keys.push_back(rng.Next());
+  for (uint64_t& k : keys) k >>= key_shift;
   return keys;
 }
 
 struct HashParam {
   HashMethod method;
   uint32_t fanout;
-  int shift;
+  /// Narrows the test keys (TestKeys32/64); the `_s` of the test names.
+  int key_shift;
 };
 
 class SimdParityTest : public ::testing::TestWithParam<HashParam> {};
 
 TEST_P(SimdParityTest, DispatchedBatch32MatchesScalar) {
   const HashParam param = GetParam();
-  PartitionFn fn(param.method, param.fanout, param.shift);
-  const auto keys = TestKeys32();
+  PartitionFn fn(param.method, param.fanout);
+  const auto keys = TestKeys32(param.key_shift);
   std::vector<uint32_t> batch(keys.size(), ~uint32_t{0});
   fn.ApplyBatch(keys.data(), batch.data(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -69,8 +74,8 @@ TEST_P(SimdParityTest, DispatchedBatch32MatchesScalar) {
 
 TEST_P(SimdParityTest, DispatchedBatch64MatchesScalar) {
   const HashParam param = GetParam();
-  PartitionFn fn(param.method, param.fanout, param.shift);
-  const auto keys = TestKeys64();
+  PartitionFn fn(param.method, param.fanout);
+  const auto keys = TestKeys64(param.key_shift);
   std::vector<uint32_t> batch(keys.size(), ~uint32_t{0});
   fn.ApplyBatch64(keys.data(), batch.data(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
@@ -88,35 +93,31 @@ TEST_P(SimdParityTest, RawAvx2KernelsMatchScalar) {
     GTEST_SKIP() << "host has no AVX2";
   }
   const HashParam param = GetParam();
-  PartitionFn fn(param.method, param.fanout, param.shift);
+  PartitionFn fn(param.method, param.fanout);
   const int bits = fn.bits();
-  const auto keys32 = TestKeys32();
-  const auto keys64 = TestKeys64();
+  const auto keys32 = TestKeys32(param.key_shift);
+  const auto keys64 = TestKeys64(param.key_shift);
   std::vector<uint32_t> out32(keys32.size()), out64(keys64.size());
   switch (param.method) {
     case HashMethod::kRadix:
-      simd::RadixBatch32Avx2(keys32.data(), out32.data(), keys32.size(), bits,
-                             param.shift);
-      simd::RadixBatch64Avx2(keys64.data(), out64.data(), keys64.size(), bits,
-                             param.shift);
+      simd::RadixBatch32Avx2(keys32.data(), out32.data(), keys32.size(), bits);
+      simd::RadixBatch64Avx2(keys64.data(), out64.data(), keys64.size(), bits);
       break;
     case HashMethod::kMurmur:
       simd::MurmurBatch32Avx2(keys32.data(), out32.data(), keys32.size(),
-                              bits, param.shift);
+                              bits);
       simd::MurmurBatch64Avx2(keys64.data(), out64.data(), keys64.size(),
-                              bits, param.shift);
+                              bits);
       break;
     case HashMethod::kMultiplicative:
       simd::MultiplicativeBatch32Avx2(keys32.data(), out32.data(),
-                                      keys32.size(), bits, param.shift);
+                                      keys32.size(), bits);
       simd::MultiplicativeBatch64Avx2(keys64.data(), out64.data(),
-                                      keys64.size(), bits, param.shift);
+                                      keys64.size(), bits);
       break;
     case HashMethod::kCrc32:
-      simd::Crc32Batch32Hw(keys32.data(), out32.data(), keys32.size(), bits,
-                           param.shift);
-      simd::Crc32Batch64Hw(keys64.data(), out64.data(), keys64.size(), bits,
-                           param.shift);
+      simd::Crc32Batch32Hw(keys32.data(), out32.data(), keys32.size(), bits);
+      simd::Crc32Batch64Hw(keys64.data(), out64.data(), keys64.size(), bits);
       break;
     case HashMethod::kRange:
       GTEST_SKIP() << "range has no vector kernel";
@@ -135,29 +136,29 @@ TEST_P(SimdParityTest, RawAvx512KernelsMatchScalar) {
     GTEST_SKIP() << "host has no AVX-512";
   }
   const HashParam param = GetParam();
-  PartitionFn fn(param.method, param.fanout, param.shift);
+  PartitionFn fn(param.method, param.fanout);
   const int bits = fn.bits();
-  const auto keys32 = TestKeys32();
-  const auto keys64 = TestKeys64();
+  const auto keys32 = TestKeys32(param.key_shift);
+  const auto keys64 = TestKeys64(param.key_shift);
   std::vector<uint32_t> out32(keys32.size()), out64(keys64.size());
   switch (param.method) {
     case HashMethod::kRadix:
       simd::RadixBatch32Avx512(keys32.data(), out32.data(), keys32.size(),
-                               bits, param.shift);
+                               bits);
       simd::RadixBatch64Avx512(keys64.data(), out64.data(), keys64.size(),
-                               bits, param.shift);
+                               bits);
       break;
     case HashMethod::kMurmur:
       simd::MurmurBatch32Avx512(keys32.data(), out32.data(), keys32.size(),
-                                bits, param.shift);
+                                bits);
       simd::MurmurBatch64Avx512(keys64.data(), out64.data(), keys64.size(),
-                                bits, param.shift);
+                                bits);
       break;
     case HashMethod::kMultiplicative:
       simd::MultiplicativeBatch32Avx512(keys32.data(), out32.data(),
-                                        keys32.size(), bits, param.shift);
+                                        keys32.size(), bits);
       simd::MultiplicativeBatch64Avx512(keys64.data(), out64.data(),
-                                        keys64.size(), bits, param.shift);
+                                        keys64.size(), bits);
       break;
     case HashMethod::kCrc32:
     case HashMethod::kRange:
@@ -236,12 +237,12 @@ INSTANTIATE_TEST_SUITE_P(
     [](const auto& info) {
       return std::string(HashMethodName(info.param.method)) + "_f" +
              std::to_string(info.param.fanout) + "_s" +
-             std::to_string(info.param.shift);
+             std::to_string(info.param.key_shift);
     });
 
 TEST(SimdDispatchTest, RangeBatchMatchesScalarUpperBound) {
   PartitionFn fn = PartitionFn::Range({10, 20, 30, 40, 50, 60, 70});
-  const auto keys = TestKeys64();
+  const auto keys = TestKeys64(0);
   std::vector<uint32_t> batch(keys.size());
   fn.ApplyBatch64(keys.data(), batch.data(), keys.size());
   for (size_t i = 0; i < keys.size(); ++i) {
