@@ -56,14 +56,8 @@
 //                      interactive,batch,besteffort; 0 disables that
 //                      class's SLO (default 0.5,2,8; only applied with
 //                      --admission 1)
-//   --autoscale B      1 = live mode only: a monitor thread polls the
-//                      svc.slo.pressure signal and applies its recommended
-//                      worker delta via SetActiveWorkers (default 0)
-//   --max_workers N    autoscaling headroom: worker threads created but
-//                      parked beyond --workers (0 = no headroom)
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -107,8 +101,6 @@ struct Options {
   AffinityPolicy affinity = AffinityPolicyFromEnv();
   bool admission = false;
   std::array<double, svc::kNumJobClasses> slo_seconds = {0.5, 2.0, 8.0};
-  bool autoscale = false;
-  size_t max_workers = 0;
 };
 
 // Deterministic per-job priority class: a service sees a few interactive
@@ -249,7 +241,6 @@ int Run(const Options& opt) {
   config.name = "svc";
   config.slo.enabled = opt.admission;
   if (opt.admission) config.slo.class_slo_seconds = opt.slo_seconds;
-  config.max_workers = opt.max_workers;
   svc::Scheduler scheduler(config);
 
   // One handle slot per job, each written by exactly one client thread.
@@ -258,32 +249,6 @@ int Run(const Options& opt) {
   // Live-mode SLO rejections surface synchronously at Submit; deterministic
   // mode delivers them as kRejected outcomes instead.
   std::vector<uint8_t> slo_rejected(opt.jobs, 0);
-
-  // Autoscaling monitor (live mode): poll the pressure signal and apply
-  // its recommended worker delta. This is the closed loop the
-  // svc.slo.recommended_worker_delta gauge exists for.
-  std::atomic<bool> autoscale_stop{false};
-  std::atomic<uint64_t> autoscale_events{0};
-  std::thread autoscaler;
-  const bool autoscale_on = opt.autoscale && !opt.deterministic;
-  if (autoscale_on) {
-    autoscaler = std::thread([&] {
-      while (!autoscale_stop.load(std::memory_order_acquire)) {
-        const auto p = scheduler.slo_pressure();
-        if (p.worker_delta != 0) {
-          const size_t now = scheduler.active_workers();
-          const long long want =
-              static_cast<long long>(now) + p.worker_delta;
-          if (want >= 1 &&
-              scheduler.SetActiveWorkers(static_cast<size_t>(want)) &&
-              scheduler.active_workers() != now) {
-            autoscale_events.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    });
-  }
 
   const auto wall0 = std::chrono::steady_clock::now();
   std::vector<std::thread> clients;
@@ -334,10 +299,6 @@ int Run(const Options& opt) {
     });
   }
   for (std::thread& t : clients) t.join();
-  if (autoscale_on) {
-    autoscale_stop.store(true, std::memory_order_release);
-    autoscaler.join();
-  }
   scheduler.Shutdown();
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
@@ -487,8 +448,6 @@ int Run(const Options& opt) {
     }
     report.ConfigStr("slo_seconds", s);
   }
-  report.ConfigUInt("autoscale", autoscale_on ? 1 : 0);
-  report.ConfigUInt("max_workers", scheduler.config().max_workers);
   report.ConfigDouble("scale", BenchScale());
   report.Result("latency", {{"p50_us", pct(0.50)},
                             {"p95_us", pct(0.95)},
@@ -583,14 +542,6 @@ int Run(const Options& opt) {
          {"rejected_slo", static_cast<double>(adm.rejected_slo())},
          {"rejected_deadline", static_cast<double>(adm.rejected_deadline())},
          {"missed_after_admit", static_cast<double>(missed_after_admit)}});
-  }
-  if (autoscale_on) {
-    report.Result(
-        "autoscale",
-        {{"events", static_cast<double>(
-              autoscale_events.load(std::memory_order_relaxed))},
-         {"final_workers",
-          static_cast<double>(scheduler.active_workers())}});
   }
   if (opt.sim_cache_warmup && opt.sim_cache) {
     report.Result("warmup",
@@ -733,10 +684,6 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-    } else if (fpart::ParseFlag(argc, argv, &i, "--autoscale", &v)) {
-      opt.autoscale = std::strtoull(v.c_str(), nullptr, 10) != 0;
-    } else if (fpart::ParseFlag(argc, argv, &i, "--max_workers", &v)) {
-      opt.max_workers = std::strtoull(v.c_str(), nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;

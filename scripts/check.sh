@@ -6,7 +6,8 @@
 # paths are all exercised regardless of the build host.
 #
 # The tsan suite builds with ThreadSanitizer and runs the concurrency-
-# heavy binaries (svc_test, svc_property_test, svc_admission_test,
+# heavy binaries (svc_test (plus 100 repeats of its live worker-set test
+# on one CPU), svc_property_test, svc_admission_test,
 # cluster_test, stream_test, common_test (plus 400 repeats of its
 # ThreadPool exception tests on one CPU), obs_test, sim_fastpath_test's
 # concurrent sim-cache races, datagen_test's copy-on-write output races,
@@ -73,6 +74,12 @@ run_tsan_suite() {
   command -v taskset > /dev/null 2>&1 && one_cpu="taskset -c 0"
   $one_cpu "$build_dir/tests/common_test" \
     --gtest_filter='ThreadPoolTest.*Exception*' --gtest_repeat=400
+  # Each placed job wakes one idle worker; a lost wakeup strands a job at
+  # the test's barrier until its timeout fails the run.
+  echo "=== tsan live worker set (repeated) ===" >&2
+  $one_cpu "$build_dir/tests/svc_test" \
+    --gtest_filter='SchedulerTest.LiveModeRunsNumWorkersJobsAtOnce' \
+    --gtest_repeat=100
   echo "=== tsan sim-cache concurrency ===" >&2
   "$build_dir/tests/sim_fastpath_test" \
     --gtest_filter='SimAnalyticalTest.*'
@@ -86,10 +93,10 @@ run_tsan_suite() {
     "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 \
     --sim_cache 1 --sim_cache_warmup 1 > /dev/null
-  echo "=== tsan ext_service admission+autoscale smoke ===" >&2
+  echo "=== tsan ext_service admission smoke ===" >&2
   FPART_SCALE=0.0625 "$build_dir/bench/ext_service" --json \
     --jobs 1500 --clients 8 --workers 4 --fpga_devices 2 \
-    --admission 1 --slo 0.5,2,8 --autoscale 1 --max_workers 6 > /dev/null
+    --admission 1 --slo 0.5,2,8 > /dev/null
   echo "=== tsan ext_cluster smoke (4 nodes, migration on) ===" >&2
   FPART_SCALE=0.0625 "$build_dir/bench/ext_cluster" --json \
     --jobs 1000 --clients 4 --nodes 4 --zipf 1.2 \

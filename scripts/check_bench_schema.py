@@ -178,13 +178,9 @@ CASES = [
                             "svc.slo.rejected.interactive",
                             "svc.slo.rejected.batch",
                             "svc.slo.rejected.besteffort",
-                            "svc.slo.pressure",
-                            "svc.slo.recommended_worker_delta",
-                            "svc.slo.recommended_device_delta",
                             "svc.adm.correction.cpu.small",
                             "svc.adm.correction.fpga.large"],
-     ["sim_mode", "sim_cache", "admission", "slo_seconds", "autoscale",
-      "max_workers"]),
+     ["sim_mode", "sim_cache", "admission", "slo_seconds"]),
     # The cluster bench (docs/distributed.md): shard-routed federation of
     # service nodes, migration off ...
     ("ext_cluster", "ext_cluster",

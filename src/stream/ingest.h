@@ -128,7 +128,13 @@ class alignas(64) StreamStore {
   Status Flush();
 
   /// Point read: count matches of `key` under the current layout.
-  ReadResult Read(uint32_t key) const;
+  ///
+  /// Starts on a cache line, so where its bucket-scan loop lands does not
+  /// depend on the size of unrelated code linked before it. The scan is
+  /// the read's whole cost, and when a size change in unrelated code moved
+  /// its 22-byte loop across a 64-byte line, bench/e2e's stream_drift op p50
+  /// latency rose by about a third (4-vCPU KVM host, interleaved pairs).
+  [[gnu::aligned(64)]] ReadResult Read(uint32_t key) const;
 
   // -- Rebalance primitives (driven by stream/repartition.h) ------------
 

@@ -17,9 +17,6 @@ struct AdmMetrics {
   obs::Counter* class_rejected[kNumJobClasses];
   obs::Histogram* predicted_us;
   obs::Gauge* correction[kNumBackends][kNumSizeClasses];
-  obs::Gauge* pressure;
-  obs::Gauge* worker_delta;
-  obs::Gauge* device_delta;
   obs::Histogram* place_err[kNumBackends][kNumSizeClasses];
 };
 
@@ -61,15 +58,6 @@ AdmMetrics& Metrics() {
             "placement estimate error |run-est|/run*100");
       }
     }
-    x.pressure = reg.GetGauge(
-        "svc.slo.pressure", "x",
-        "backlog drain time over the tightest SLO (>1 = overloaded)");
-    x.worker_delta = reg.GetGauge(
-        "svc.slo.recommended_worker_delta", "workers",
-        "worker count change the pressure signal recommends");
-    x.device_delta = reg.GetGauge(
-        "svc.slo.recommended_device_delta", "devices",
-        "device count change the pressure signal recommends (advisory)");
     return x;
   }();
   return m;
@@ -110,11 +98,6 @@ double AdmissionController::correction(Backend backend,
   const size_t b = static_cast<size_t>(backend);
   const size_t s = std::min(size_class, kNumSizeClasses - 1);
   return correction_[b][s].load(std::memory_order_relaxed);
-}
-
-double AdmissionController::Correct(Backend backend, double demand_tuples,
-                                    double est_seconds) const {
-  return est_seconds * correction(backend, SizeClassOf(demand_tuples));
 }
 
 double AdmissionController::BudgetSeconds(JobClass cls,
@@ -197,47 +180,6 @@ AdmissionController::Verdict AdmissionController::Judge(
       1, std::memory_order_relaxed);
   m.class_rejected[static_cast<size_t>(cls)]->Add();
   return v;
-}
-
-AdmissionController::Pressure AdmissionController::UpdatePressure(
-    double cpu_wait_seconds, double device_backlog_seconds,
-    size_t active_workers, size_t max_workers, size_t num_devices) {
-  // Reference horizon: the tightest configured SLO (a backlog that long
-  // already eats a whole budget), 1 s when no SLO is configured.
-  double reference = std::numeric_limits<double>::infinity();
-  for (double slo : config_.class_slo_seconds) {
-    if (slo > 0.0) reference = std::min(reference, slo);
-  }
-  if (!std::isfinite(reference)) reference = 1.0;
-
-  const size_t workers = std::max<size_t>(1, active_workers);
-  const size_t devices = std::max<size_t>(1, num_devices);
-  const double cpu_pressure = cpu_wait_seconds / reference;
-  const double device_pressure =
-      device_backlog_seconds / (static_cast<double>(devices) * reference);
-
-  Pressure p;
-  p.value = std::max(cpu_pressure, device_pressure);
-  if (cpu_pressure > config_.pressure_high) {
-    const int want = static_cast<int>(
-        std::ceil((cpu_pressure - 1.0) * static_cast<double>(workers)));
-    const int room = static_cast<int>(max_workers) - static_cast<int>(workers);
-    p.worker_delta = std::max(0, std::min(want, room));
-  } else if (cpu_pressure < config_.pressure_low && workers > 1) {
-    p.worker_delta = -1;
-  }
-  if (device_pressure > config_.pressure_high) {
-    p.device_delta = static_cast<int>(
-        std::ceil((device_pressure - 1.0) * static_cast<double>(devices)));
-  } else if (device_pressure < config_.pressure_low && devices > 1) {
-    p.device_delta = -1;
-  }
-
-  auto& m = Metrics();
-  m.pressure->Set(p.value);
-  m.worker_delta->Set(static_cast<double>(p.worker_delta));
-  m.device_delta->Set(static_cast<double>(p.device_delta));
-  return p;
 }
 
 }  // namespace fpart::svc

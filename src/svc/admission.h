@@ -22,10 +22,6 @@
 //     queue (live mode) or any backend clock (deterministic). Distinct from
 //     CapacityError: the queue may have had room, the job just cannot
 //     finish in time.
-//  3. Autoscaling signals — the same backlog arithmetic yields
-//     svc.slo.pressure (backlog drain time over the tightest SLO) and
-//     recommended worker/device deltas, which bench/ext_service's
-//     --autoscale arm feeds back into Scheduler::SetActiveWorkers.
 //
 // Determinism: in deterministic mode learning is disabled (corrections
 // stay at 1.0) and the feasibility check runs dispatcher-side against the
@@ -72,11 +68,6 @@ struct SloConfig {
   /// swing predictions by orders of magnitude.
   double correction_floor = 0.25;
   double correction_cap = 4.0;
-  /// Pressure hysteresis band for the autoscaling recommendation:
-  /// above `pressure_high` recommend growth, below `pressure_low`
-  /// recommend shrink, in between recommend nothing.
-  double pressure_high = 1.0;
-  double pressure_low = 0.5;
 };
 
 /// \brief The admission controller. One per Scheduler; all methods are
@@ -92,9 +83,6 @@ class AdmissionController {
   /// Current correction factor of a (backend, size-class) cell (1.0 until
   /// learned).
   double correction(Backend backend, size_t size_class) const;
-  /// `est_seconds` scaled by the cell's correction factor.
-  double Correct(Backend backend, double demand_tuples,
-                 double est_seconds) const;
 
   /// The budget a job of `cls` with `deadline_seconds` (0 = none) is held
   /// to: min(deadline, class SLO), or +inf when neither applies.
@@ -130,27 +118,6 @@ class AdmissionController {
   /// deterministic mode, exactly from the virtual clocks).
   Verdict Judge(JobClass cls, double deadline_seconds,
                 double predicted_seconds);
-
-  /// \brief Backlog-derived autoscaling signal.
-  struct Pressure {
-    /// max(CPU, device) backlog drain time over the tightest SLO
-    /// (reference 1 s when no SLO is configured). 1.0 = the backlog alone
-    /// already consumes the whole budget.
-    double value = 0.0;
-    /// Recommended worker/device count changes (positive = grow). Workers
-    /// follow the CPU-side pressure with hysteresis; devices are advisory
-    /// (the pool is fixed-size today).
-    int worker_delta = 0;
-    int device_delta = 0;
-  };
-
-  /// Recompute the pressure signal from live backlogs and publish the
-  /// svc.slo.pressure / delta gauges. `cpu_wait_seconds` is the ledger's
-  /// CPU wait quoted with the pending charge (BacklogLedger::QuoteWaits).
-  Pressure UpdatePressure(double cpu_wait_seconds,
-                          double device_backlog_seconds,
-                          size_t active_workers, size_t max_workers,
-                          size_t num_devices);
 
   uint64_t considered() const {
     return considered_.load(std::memory_order_relaxed);

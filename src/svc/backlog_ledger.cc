@@ -40,7 +40,6 @@ double BacklogLedger::ArrivalSeconds(const JobRecord& rec) const {
 }
 
 BacklogLedger::Quote BacklogLedger::QuoteWaits(double arrival_seconds,
-                                               size_t active_workers,
                                                bool with_pending) const {
   std::lock_guard<std::mutex> lock(mu_);
   Quote q;
@@ -54,8 +53,7 @@ BacklogLedger::Quote BacklogLedger::QuoteWaits(double arrival_seconds,
         std::max({arrival_seconds, device, worker}) - arrival_seconds;
     return q;
   }
-  const double workers =
-      static_cast<double>(std::max<size_t>(1, active_workers));
+  const double workers = static_cast<double>(worker_free_.size());
   q.cpu_wait = with_pending ? (cpu_backlog_ + pending_) / workers
                             : cpu_backlog_ / workers;
   q.device_wait = device_backlog_[Least(device_backlog_)];

@@ -9,7 +9,7 @@
 // fixed at construction:
 //
 //  * wall time (live mode) — backlogs in model seconds: one CPU backlog
-//    shared by the active workers, one backlog per device, and the
+//    shared by the workers, one backlog per device, and the
 //    pending charge of jobs admitted at Submit but not yet placed. A
 //    placement charges its estimate; completion credits it back, clamped
 //    at 0.
@@ -43,7 +43,9 @@ namespace fpart::svc {
 
 class BacklogLedger {
  public:
-  /// \param num_workers, num_devices  virtual clocks (0 is clamped to 1).
+  /// \param num_workers, num_devices  the scheduler's workers and devices
+  /// (0 is clamped to 1): one virtual clock each, and in wall time the
+  /// workers share the CPU backlog.
   BacklogLedger(bool virtual_time, size_t num_workers, size_t num_devices);
   FPART_DISALLOW_COPY_AND_ASSIGN(BacklogLedger);
 
@@ -54,8 +56,7 @@ class BacklogLedger {
   /// \brief The waits a job arriving now would see on each backend.
   struct Quote {
     /// Queueing delay per backend, as placement compares them. Wall time:
-    /// the CPU backlog over the active workers, and the least device
-    /// backlog.
+    /// the CPU backlog over the workers, and the least device backlog.
     double cpu_wait = 0.0;
     double device_wait = 0.0;
     /// Wait until a device job starts: device_wait, except that in
@@ -71,8 +72,7 @@ class BacklogLedger {
   /// admission) counts admitted-but-unplaced work as CPU backlog ahead of
   /// the job; placement leaves it out, because the placed jobs' own
   /// charges have replaced it by then.
-  Quote QuoteWaits(double arrival_seconds, size_t active_workers,
-                   bool with_pending) const;
+  Quote QuoteWaits(double arrival_seconds, bool with_pending) const;
 
   /// Where a charge sits.
   enum class Account { kPending, kCpu, kDevice };
@@ -117,6 +117,8 @@ class BacklogLedger {
   double cpu_backlog_ = 0.0;
   double pending_ = 0.0;
   std::vector<double> device_backlog_;
+  /// One free clock per worker; its size is the worker count wall time
+  /// divides the CPU backlog by.
   std::vector<double> worker_free_;
   std::vector<double> device_free_;
 

@@ -196,41 +196,14 @@ Scheduler::Scheduler(SchedulerConfig config)
       paused_(config_.start_paused) {
   if (config_.num_workers == 0) config_.num_workers = 1;
   config_.fpga_devices = pool_.num_devices();  // 0 clamps to 1
-  // Autoscaling headroom: live mode may park workers beyond num_workers;
-  // deterministic mode pins the worker count (virtual clocks are sized
-  // once and are part of the replay's identity).
-  if (config_.max_workers < config_.num_workers || config_.deterministic) {
-    config_.max_workers = config_.num_workers;
-  }
   admission_ = std::make_unique<AdmissionController>(config_.slo);
-  active_workers_.store(config_.num_workers, std::memory_order_release);
   worker_pins_ = Topology::Host().PinPlan(config_.affinity,
-                                          config_.max_workers);
+                                          config_.num_workers);
   dispatcher_ = std::thread([this] { DispatcherLoop(); });
-  workers_.reserve(config_.max_workers);
-  for (size_t w = 0; w < config_.max_workers; ++w) {
+  workers_.reserve(config_.num_workers);
+  for (size_t w = 0; w < config_.num_workers; ++w) {
     workers_.emplace_back([this, w] { WorkerLoop(w); });
   }
-}
-
-bool Scheduler::SetActiveWorkers(size_t n) {
-  if (config_.deterministic) return false;
-  n = std::min(std::max<size_t>(1, n), config_.max_workers);
-  active_workers_.store(n, std::memory_order_release);
-  // Wake everyone: a freshly activated worker is parked on the same cv as
-  // the busy ones, and a targeted notify could land on a still-parked
-  // thread that just re-sleeps (lost wakeup).
-  ready_cv_.notify_all();
-  return true;
-}
-
-AdmissionController::Pressure Scheduler::slo_pressure() {
-  const size_t workers = active_workers();
-  return admission_->UpdatePressure(
-      ledger_.QuoteWaits(NowSeconds(), workers, /*with_pending=*/true)
-          .cpu_wait,
-      ledger_.total_device_backlog_seconds(), workers, config_.max_workers,
-      pool_.num_devices());
 }
 
 Scheduler::~Scheduler() { Shutdown(); }
@@ -416,7 +389,7 @@ Status Scheduler::Place(const std::shared_ptr<JobRecord>& recp, bool admit) {
   }
   const double arrival = ledger_.ArrivalSeconds(*rec);
   const BacklogLedger::Quote quote =
-      ledger_.QuoteWaits(arrival, active_workers(), /*with_pending=*/admit);
+      ledger_.QuoteWaits(arrival, /*with_pending=*/admit);
   PlacementInput in;
   FillPlacementRequest(*rec, &in);
   in.cpu_backlog_seconds = quote.cpu_wait;
@@ -503,10 +476,9 @@ void Scheduler::DispatcherLoop() {
       std::unique_lock<std::mutex> lock(ready_mu_);
       ready_.push_back(std::move(rec));
     }
-    // notify_all, not notify_one: with autoscaling headroom some waiters
-    // are parked (index >= active_workers_) and a targeted wake that
-    // lands on one of them is lost.
-    ready_cv_.notify_all();
+    // Every worker waits on the same condition, so any one can take the
+    // job; a busy worker re-checks the deque before it waits again.
+    ready_cv_.notify_one();
   }
   {
     std::unique_lock<std::mutex> lock(ready_mu_);
@@ -532,21 +504,9 @@ void Scheduler::WorkerLoop(size_t index) {
     std::shared_ptr<JobRecord> rec;
     {
       std::unique_lock<std::mutex> lock(ready_mu_);
-      // Workers beyond the active set park here until SetActiveWorkers
-      // grows it (autoscaling) — except during the shutdown drain, where
-      // every worker helps empty the ready deque.
-      ready_cv_.wait(lock, [this, index] {
-        if (dispatch_done_) return true;
-        return !ready_.empty() &&
-               index < active_workers_.load(std::memory_order_acquire);
-      });
-      const bool parked =
-          !dispatch_done_ &&
-          index >= active_workers_.load(std::memory_order_acquire);
-      if (ready_.empty() || parked) {
-        if (dispatch_done_ && ready_.empty()) return;
-        continue;
-      }
+      ready_cv_.wait(lock,
+                     [this] { return dispatch_done_ || !ready_.empty(); });
+      if (ready_.empty()) return;  // dispatch done and drained
       rec = std::move(ready_.front());
       ready_.pop_front();
     }
@@ -648,7 +608,6 @@ void Scheduler::ExecuteJob(const std::shared_ptr<JobRecord>& rec) {
   ledger_.Credit(out.backend == Backend::kCpu ? BacklogLedger::Account::kCpu
                                               : BacklogLedger::Account::kDevice,
                  rec->charged_device, rec->placed_estimate_seconds);
-  if (config_.slo.enabled && !config_.deterministic) slo_pressure();
 
   JobState state = JobState::kCompleted;
   if (status.IsCancelled()) {

@@ -68,16 +68,9 @@ const char* PlacementPolicyName(PlacementPolicy policy);
 struct SchedulerConfig {
   /// Admission queue bound; Submit sheds with CapacityError beyond it.
   size_t queue_capacity = 256;
-  /// Worker threads executing placed jobs (each runs one job at a time).
+  /// Worker threads executing placed jobs (each runs one job at a time),
+  /// all created at construction (0 is clamped to 1).
   size_t num_workers = 4;
-  /// Autoscaling headroom (live mode): worker threads are created up to
-  /// this count but only `num_workers` start active; the rest park on the
-  /// ready queue until SetActiveWorkers() grows the active set (the
-  /// svc.slo.pressure signal drives this in bench/ext_service's
-  /// --autoscale arm). 0 = num_workers (no headroom). Deterministic mode
-  /// ignores the headroom — virtual worker clocks are fixed at
-  /// construction so replays stay bit-identical.
-  size_t max_workers = 0;
   /// Simulated FPGA devices in the pool (0 is clamped to 1). Device jobs
   /// take exactly one lease; grants go to the least-backlogged free
   /// device.
@@ -177,19 +170,6 @@ class Scheduler {
   /// The backlog ledger placement and admission charge.
   const BacklogLedger& ledger() const { return ledger_; }
 
-  /// Workers currently eligible to pick up jobs (<= config().max_workers).
-  size_t active_workers() const {
-    return active_workers_.load(std::memory_order_acquire);
-  }
-  /// Grow or shrink the active worker set within [1, max_workers] — the
-  /// autoscaling actuator the svc.slo.pressure signal recommends deltas
-  /// for. Live mode only: returns false in deterministic mode (the
-  /// virtual worker clocks are part of the replay's identity).
-  bool SetActiveWorkers(size_t n);
-  /// Recompute and publish the backlog-pressure signal (svc.slo.pressure
-  /// plus the recommended worker/device deltas) from the live backlogs.
-  AdmissionController::Pressure slo_pressure();
-
  private:
   /// `demand_tuples`: the job's WFQ service demand (never below 1).
   Result<JobHandle> SubmitRecord(std::shared_ptr<JobRecord> rec,
@@ -235,8 +215,6 @@ class Scheduler {
   DevicePool pool_;
   std::unique_ptr<AdmissionController> admission_;
   std::chrono::steady_clock::time_point epoch_;
-  /// Workers eligible for jobs; indices beyond it park on ready_cv_.
-  std::atomic<size_t> active_workers_{0};
 
   std::atomic<uint64_t> next_id_{0};
   std::atomic<uint64_t> next_seq_{0};

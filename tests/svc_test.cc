@@ -8,9 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <iterator>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -168,11 +172,11 @@ TEST(PlacementTest, SaturatedPoolSpillsToCpuUntilADeviceFrees) {
   const double saturated = base.est_cpu_seconds * 4.0;
   BacklogLedger ledger(/*virtual_time=*/false, 1, 4);
   for (int i = 0; i < 4; ++i) ChargeDevice(&ledger, saturated);
-  in.fpga_backlog_seconds = ledger.QuoteWaits(0.0, 1, false).device_wait;
+  in.fpga_backlog_seconds = ledger.QuoteWaits(0.0, false).device_wait;
   EXPECT_EQ(DecidePlacement(in).backend, Backend::kCpu);
   // One device drains: the pool minimum rules and the FPGA wins again.
   ledger.Credit(BacklogLedger::Account::kDevice, 2, saturated);
-  in.fpga_backlog_seconds = ledger.QuoteWaits(0.0, 1, false).device_wait;
+  in.fpga_backlog_seconds = ledger.QuoteWaits(0.0, false).device_wait;
   PlacementDecision d = DecidePlacement(in);
   EXPECT_EQ(d.backend, Backend::kFpga);
   EXPECT_DOUBLE_EQ(in.fpga_backlog_seconds, 0.0);
@@ -361,7 +365,7 @@ TEST(DevicePoolTest, PerDeviceBacklogAccounting) {
   EXPECT_DOUBLE_EQ(pool.total_backlog_seconds(), 1.0);
   ledger.Credit(Account::kDevice, 1, 0.5);
   // The pool minimum is the device wait a new job sees.
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 1, false).device_wait, 0.0);
+  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, false).device_wait, 0.0);
   EXPECT_DOUBLE_EQ(ledger.device_backlog_seconds(0), 0.5);
   ledger.Credit(Account::kDevice, 0, 10.0);  // never negative
   EXPECT_DOUBLE_EQ(ledger.device_backlog_seconds(0), 0.0);
@@ -376,20 +380,22 @@ TEST(DevicePoolTest, PerDeviceBacklogAccounting) {
 
 TEST(BacklogLedgerTest, WallWaitsCountPendingForAdmissionAndDivideByWorkers) {
   using Account = BacklogLedger::Account;
-  BacklogLedger ledger(/*virtual_time=*/false, 4, 2);
+  BacklogLedger ledger(/*virtual_time=*/false, 2, 2);
   ledger.Charge(Account::kCpu, 0.0, 2.0);
   ledger.Charge(Account::kPending, 0.0, 1.0);
   EXPECT_EQ(ChargeDevice(&ledger, 0.5), 0);
   // Admission counts the admitted-but-unplaced work ahead of the job;
   // placement does not. Either way the CPU backlog is shared by the
-  // active workers.
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 2, true).cpu_wait, 1.5);
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 2, false).cpu_wait, 1.0);
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 4, false).cpu_wait, 0.5);
+  // ledger's workers.
+  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, true).cpu_wait, 1.5);
+  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, false).cpu_wait, 1.0);
+  BacklogLedger four_workers(/*virtual_time=*/false, 4, 2);
+  four_workers.Charge(Account::kCpu, 0.0, 2.0);
+  EXPECT_DOUBLE_EQ(four_workers.QuoteWaits(0.0, false).cpu_wait, 0.5);
   // The device wait is the least-backlogged device's backlog.
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 2, false).device_wait, 0.0);
+  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, false).device_wait, 0.0);
   EXPECT_EQ(ChargeDevice(&ledger, 1.0), 1);
-  const BacklogLedger::Quote q = ledger.QuoteWaits(0.0, 2, true);
+  const BacklogLedger::Quote q = ledger.QuoteWaits(0.0, true);
   EXPECT_DOUBLE_EQ(q.device_wait, 0.5);
   EXPECT_DOUBLE_EQ(q.Wait(/*on_device=*/true), 0.5);
   // Credits clamp at 0.
@@ -397,7 +403,7 @@ TEST(BacklogLedgerTest, WallWaitsCountPendingForAdmissionAndDivideByWorkers) {
   ledger.Credit(Account::kPending, -1, 5.0);
   EXPECT_DOUBLE_EQ(ledger.cpu_backlog_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(ledger.pending_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, 2, true).cpu_wait, 0.0);
+  EXPECT_DOUBLE_EQ(ledger.QuoteWaits(0.0, true).cpu_wait, 0.0);
   // Wall time keeps no virtual schedule.
   const BacklogLedger::Slot slot = ledger.Charge(Account::kCpu, 3.0, 1.0);
   EXPECT_EQ(slot.device, -1);
@@ -421,7 +427,7 @@ TEST(BacklogLedgerTest, VirtualTimeListSchedulesOnTheEarliestFreeClocks) {
   EXPECT_DOUBLE_EQ(s.queue_seconds, 0.0);
   // At t=1.25 the earliest worker frees at 2 and the device at 1.5; a
   // device job needs both, so it starts at 2.
-  const BacklogLedger::Quote q = ledger.QuoteWaits(1.25, 2, true);
+  const BacklogLedger::Quote q = ledger.QuoteWaits(1.25, true);
   EXPECT_DOUBLE_EQ(q.cpu_wait, 0.75);
   EXPECT_DOUBLE_EQ(q.device_wait, 0.25);
   EXPECT_DOUBLE_EQ(q.Wait(/*on_device=*/true), 0.75);
@@ -795,6 +801,43 @@ TEST(SchedulerTest, DrainsOnShutdownWithManyClients) {
     auto out = h.TryGet();
     ASSERT_TRUE(out.has_value()) << "job not drained by Shutdown";
     EXPECT_EQ(out->state, JobState::kCompleted);
+  }
+}
+
+// Every live worker takes jobs: `num_workers` jobs that each wait at a
+// shared barrier until all of them have started can only finish if that
+// many workers run at once. An idle worker that is never woken for a
+// placed job leaves one job at the barrier until the timeout fails it.
+TEST(SchedulerTest, LiveModeRunsNumWorkersJobsAtOnce) {
+  constexpr int kWorkers = 3;
+  SchedulerConfig config;
+  config.num_workers = kWorkers;
+  Scheduler scheduler(config);
+  std::mutex mu;
+  std::condition_variable cv;
+  int started = 0;
+  std::vector<JobHandle> handles;
+  for (int i = 0; i < kWorkers; ++i) {
+    RebalanceJobSpec spec;
+    spec.work = [&](const std::atomic<bool>*) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return started == kWorkers; })) {
+        return Status::Internal("barrier timed out at " +
+                                std::to_string(started) + " of " +
+                                std::to_string(kWorkers) + " jobs");
+      }
+      return Status::OK();
+    };
+    auto h = scheduler.Submit(spec);
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    handles.push_back(std::move(h).ValueUnsafe());
+  }
+  for (const JobHandle& h : handles) {
+    const JobOutcome& out = h.Wait();
+    EXPECT_EQ(out.state, JobState::kCompleted) << out.status.ToString();
   }
 }
 
