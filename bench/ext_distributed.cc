@@ -1,8 +1,10 @@
 // Extension (Section 6 / Barthels et al. [6,7]): scaling the hybrid join
 // out over an RDMA fabric — the FPGA partitioner on every node splits its
 // slice by destination, the fabric shuffles, nodes join locally. Sweeps
-// the node count and the link bandwidth.
+// the node count and the link bandwidth. Exits 1 if any row fails or
+// misses a match.
 #include <cstdio>
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "core/fpart.h"
@@ -17,6 +19,25 @@ int Run() {
   if (!input.ok()) return 1;
   std::printf("workload A, |R| = |S| = %zu, FDR fabric (6.8 GB/s/link)\n\n",
               input->r.size());
+  // Every row must join successfully and find every S tuple's match
+  // (workload A is a foreign-key join); otherwise the bench fails.
+  auto checked_join = [&](const DistributedJoinConfig& config)
+      -> std::optional<DistributedJoinResult> {
+    auto result = DistributedJoin(config, input->r, input->s);
+    if (!result.ok()) {
+      std::fprintf(stderr, "%zu nodes: %s\n", config.num_nodes,
+                   result.status().ToString().c_str());
+      return std::nullopt;
+    }
+    if (result->matches != input->s.size()) {
+      std::fprintf(stderr, "%zu nodes: %llu matches, expected %zu\n",
+                   config.num_nodes,
+                   static_cast<unsigned long long>(result->matches),
+                   input->s.size());
+      return std::nullopt;
+    }
+    return *result;
+  };
   std::printf("%6s | %10s %10s %10s %10s | %11s\n", "nodes", "part (s)",
               "shuffle", "local join", "total", "Mtuples/s");
   for (size_t nodes : {1, 2, 4, 8, 16}) {
@@ -24,16 +45,12 @@ int Run() {
     config.num_nodes = nodes;
     config.local_fanout = 8192 / static_cast<uint32_t>(nodes);
     config.threads_per_node = 1;
-    auto result = DistributedJoin(config, input->r, input->s);
-    if (!result.ok()) {
-      std::printf("%6zu | %s\n", nodes, result.status().ToString().c_str());
-      continue;
-    }
+    auto result = checked_join(config);
+    if (!result) return 1;
     std::printf("%6zu | %10.3f %10.3f %10.3f %10.3f | %11.0f\n", nodes,
                 result->partition_seconds, result->shuffle_seconds,
                 result->local_join_seconds, result->total_seconds,
                 result->mtuples_per_sec);
-    if (result->matches != input->s.size()) std::printf("  !! mismatch\n");
   }
 
   std::printf("\nslower fabric (1 GB/s links):\n");
@@ -42,11 +59,10 @@ int Run() {
     config.num_nodes = nodes;
     config.local_fanout = 1024;
     config.network.link_gbs = 1.0;
-    auto result = DistributedJoin(config, input->r, input->s);
-    if (result.ok()) {
-      std::printf("%6zu | shuffle %.3fs, total %.3fs\n", nodes,
-                  result->shuffle_seconds, result->total_seconds);
-    }
+    auto result = checked_join(config);
+    if (!result) return 1;
+    std::printf("%6zu | shuffle %.3fs, total %.3fs\n", nodes,
+                result->shuffle_seconds, result->total_seconds);
   }
   std::printf(
       "\nExpected shape ([6,7]): every phase shrinks with the node count "
@@ -55,74 +71,6 @@ int Run() {
       "ships (nodes-1)/nodes of its slice), so\nspeed-up bends away from "
       "linear as the fabric share grows; a slower fabric\nbends it "
       "earlier.\n");
-
-  // The same scale-out story through the cluster service API
-  // (dist/cluster.h): instead of the analytic one-shot model above, a
-  // stream of partition jobs is shard-routed across N federated service
-  // nodes and replayed on the virtual clock. The closed-loop version of
-  // this experiment — Poisson arrivals, hot keys, migration on/off — is
-  // bench/ext_cluster (scripts/bench_cluster.sh, docs/distributed.md);
-  // this section is the minimal bridge from the legacy sweep.
-  std::printf("\nvia the cluster service API (dist/cluster.h):\n");
-  const size_t job_tuples =
-      std::max<size_t>(4096, static_cast<size_t>(65536 * scale));
-  auto table =
-      GenerateRawRelation(job_tuples, KeyDistribution::kRandom, 11);
-  if (!table.ok()) return 1;
-  const uint64_t cluster_jobs = 32;
-  std::printf("%6s | %12s %12s | %11s\n", "nodes", "makespan (s)",
-              "remote share", "Mtuples/s");
-  for (size_t nodes : {1, 2, 4}) {
-    dist::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.node.deterministic = true;
-    cc.node.num_workers = 1;
-    cc.node.queue_capacity = cluster_jobs;
-    dist::Cluster cluster(cc);
-    bool ok = true;
-    std::vector<dist::ClusterSubmission> subs;
-    subs.reserve(cluster_jobs);
-    for (uint64_t i = 0; i < cluster_jobs; ++i) {
-      svc::PartitionJobSpec spec;
-      spec.input = &*table;
-      spec.request.fanout = 2048;
-      spec.request.hash = HashMethod::kMurmur;
-      spec.request.output_mode = OutputMode::kHist;
-      svc::JobOptions jopts;
-      jopts.arrival_seq = i;
-      auto sub = cluster.Submit(/*shard_key=*/i, /*origin_node=*/i % nodes,
-                                spec, jopts);
-      if (!sub.ok()) {
-        std::printf("%6zu | submit failed: %s\n", nodes,
-                    sub.status().ToString().c_str());
-        ok = false;
-        break;
-      }
-      subs.push_back(std::move(sub).ValueUnsafe());
-    }
-    cluster.Shutdown();
-    if (!ok) continue;
-    uint64_t remote = 0;
-    for (const auto& sub : subs) {
-      if (sub.handle.Wait().state != svc::JobState::kCompleted) ok = false;
-      if (sub.remote) ++remote;
-    }
-    if (!ok) {
-      std::printf("%6zu | job failed\n", nodes);
-      continue;
-    }
-    const double makespan = cluster.virtual_makespan_seconds();
-    const double tuples =
-        static_cast<double>(cluster_jobs) * table->size();
-    std::printf("%6zu | %12.4f %12.2f | %11.0f\n", nodes, makespan,
-                static_cast<double>(remote) / cluster_jobs,
-                makespan > 0 ? tuples / makespan / 1e6 : 0.0);
-  }
-  std::printf(
-      "\nThe virtual makespan shrinks near-linearly with the node count "
-      "(each node\nbrings its own workers and device pool); the remote "
-      "share is the price of\nhash routing from a random origin — "
-      "(nodes-1)/nodes of submissions pay one\nfabric hop.\n");
   return 0;
 }
 

@@ -78,10 +78,10 @@ struct PartitionReport {
   CycleStats stats;
 };
 
-/// Partition a row-store relation with the requested engine.
+/// Partition `n` row-store tuples with the requested engine.
 template <typename T>
 Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
-                                        const Relation<T>& relation) {
+                                        const T* tuples, size_t n) {
   obs::TraceSpan span("engine.partition", "engine");
   obs::Registry::Global()
       .GetCounter("engine.partition_requests", "requests",
@@ -101,7 +101,7 @@ Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
     config.cancel = request.cancel;
     FPART_ASSIGN_OR_RETURN(
         CpuRunResult<T> r,
-        CpuPartition(config, relation.data(), relation.size()));
+        CpuPartition(config, tuples, n));
     report.output = std::move(r.output);
     report.seconds = r.seconds;
     report.mtuples_per_sec = r.mtuples_per_sec;
@@ -120,14 +120,34 @@ Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
   config.sim_cache = request.sim_cache;
   config.cancel = request.cancel;
   FpgaPartitioner<T> partitioner(config);
-  FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> r,
-                         partitioner.Partition(relation.data(),
-                                               relation.size()));
+  FPART_ASSIGN_OR_RETURN(FpgaRunResult<T> r, partitioner.Partition(tuples, n));
   report.output = std::move(r.output);
   report.seconds = r.seconds;
   report.mtuples_per_sec = r.mtuples_per_sec;
   report.stats = r.stats;
   return report;
+}
+
+/// Partition a whole row-store relation.
+template <typename T>
+Result<PartitionReport<T>> RunPartition(const PartitionRequest& request,
+                                        const Relation<T>& relation) {
+  return RunPartition(request, relation.data(), relation.size());
+}
+
+/// RunPartition with the Section 5.4 fallback: a PAD run whose skew
+/// overflows a partition is retried with the two-pass HIST circuit, which
+/// handles any skew.
+template <typename T>
+Result<PartitionReport<T>> RunPartitionWithFallback(PartitionRequest request,
+                                                    const T* tuples,
+                                                    size_t n) {
+  Result<PartitionReport<T>> attempt = RunPartition(request, tuples, n);
+  if (!attempt.ok() && attempt.status().IsPartitionOverflow()) {
+    request.output_mode = OutputMode::kHist;
+    attempt = RunPartition(request, tuples, n);
+  }
+  return attempt;
 }
 
 /// Library version string.

@@ -6,24 +6,22 @@
 // node's partitioner splits its slice by the *global* key hash into one
 // bucket per node (fan-out = #nodes), the buckets are shuffled all-to-all
 // over the RDMA fabric, and each node then joins its received fragments
-// with a local radix join. Partitioning time is simulated circuit time,
-// the shuffle comes from the network model, and the local joins run for
-// real on the host (the cluster's parallelism is the max over nodes).
+// with a local radix join. Each split is a RunPartition run (PAD, with the
+// Section 5.4 HIST fallback), so its time is simulated circuit time on the
+// FPGA engine and measured wall time on the CPU engine. The shuffle comes
+// from the network model, and the local joins run for real on the host
+// (the cluster's parallelism is the max over nodes).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
-#include "common/timer.h"
 #include "core/engine.h"
 #include "datagen/relation.h"
 #include "dist/network.h"
-#include "fpga/partitioner.h"
 #include "join/radix_join.h"
-#include "model/cost_model.h"
 
 namespace fpart {
 
@@ -32,7 +30,7 @@ struct DistributedJoinConfig {
   size_t num_nodes = 4;
   /// Node-internal fan-out of the local join after the shuffle.
   uint32_t local_fanout = 1024;
-  /// Threads per node for the local build+probe.
+  /// Threads per node for the local join and, on the CPU engine, the split.
   size_t threads_per_node = 1;
   /// Partitioning engine on each node.
   Engine engine = Engine::kFpgaSim;
@@ -51,29 +49,6 @@ struct DistributedJoinResult {
   double mtuples_per_sec = 0.0;
 };
 
-namespace internal {
-
-/// Split one node's slice into per-destination-node relations.
-/// Returns the destination relations and accumulates per-node byte flows.
-template <typename T>
-Result<std::vector<std::vector<T>>> SplitByNode(
-    const PartitionFn& fn, const T* slice, size_t n, size_t num_nodes) {
-  std::vector<std::vector<T>> out(num_nodes);
-  for (auto& v : out) v.reserve(n / num_nodes + 16);
-  for (size_t i = 0; i < n; ++i) {
-    uint32_t node;
-    if constexpr (sizeof(slice[i].key) == 4) {
-      node = fn(slice[i].key);
-    } else {
-      node = fn.Apply64(slice[i].key);
-    }
-    out[node].push_back(slice[i]);
-  }
-  return out;
-}
-
-}  // namespace internal
-
 /// Execute R ⋈ S across `config.num_nodes` nodes. The relations are split
 /// horizontally (as they would be stored); the result is the global match
 /// count plus parallel-time phase breakdown.
@@ -86,95 +61,75 @@ Result<DistributedJoinResult> DistributedJoin(
     return Status::InvalidArgument(
         "node count must be a power of two (hash destination = key bits)");
   }
-  const PartitionFn node_fn(config.hash, static_cast<uint32_t>(nodes));
 
   DistributedJoinResult result;
 
-  // --- Phase 1 on every node: split the local slice by destination node.
-  // With the FPGA engine the split time is the simulated circuit time at
-  // fan-out `nodes`; each node runs concurrently, so the phase costs the
-  // max over nodes — with equal slices, the first node is representative.
-  auto slice_bounds = [&](const Relation<T>& rel, size_t node) {
-    size_t begin = rel.size() * node / nodes;
-    size_t end = rel.size() * (node + 1) / nodes;
-    return std::make_pair(begin, end - begin);
+  // --- Phase 1 on every node: the node's partitioner splits its R and S
+  // slices into one partition per destination node. Nodes run
+  // concurrently, so the phase costs the max over nodes.
+  PartitionRequest split;
+  split.engine = config.engine;
+  split.fanout = static_cast<uint32_t>(nodes);
+  split.hash = config.hash;
+  split.output_mode = OutputMode::kPad;
+  split.num_threads = config.threads_per_node;
+  auto split_slice = [&](const Relation<T>& rel, size_t node) {
+    const size_t begin = rel.size() * node / nodes;
+    const size_t end = rel.size() * (node + 1) / nodes;
+    return RunPartitionWithFallback(split, rel.data() + begin, end - begin);
   };
-
-  std::vector<std::vector<std::vector<T>>> r_split(nodes), s_split(nodes);
-  double worst_split = 0.0;
+  std::vector<PartitionedOutput<T>> r_split, s_split;
   for (size_t node = 0; node < nodes; ++node) {
-    auto [r_begin, r_count] = slice_bounds(r, node);
-    auto [s_begin, s_count] = slice_bounds(s, node);
-    FPART_ASSIGN_OR_RETURN(
-        r_split[node], internal::SplitByNode(node_fn, r.data() + r_begin,
-                                             r_count, nodes));
-    FPART_ASSIGN_OR_RETURN(
-        s_split[node], internal::SplitByNode(node_fn, s.data() + s_begin,
-                                             s_count, nodes));
-    if (config.engine == Engine::kFpgaSim) {
-      // The node's circuit streams its slice once per relation, writing
-      // node buckets (PAD mode, fan-out = nodes ≤ 8192).
-      FpgaCostModel model(sizeof(T), static_cast<uint32_t>(nodes));
-      double seconds =
-          model.PredictSeconds(r_count, OutputMode::kPad, LayoutMode::kRid,
-                               LinkKind::kXeonFpga) +
-          model.PredictSeconds(s_count, OutputMode::kPad, LayoutMode::kRid,
-                               LinkKind::kXeonFpga);
-      worst_split = std::max(worst_split, seconds);
-    }
+    FPART_ASSIGN_OR_RETURN(PartitionReport<T> r_run, split_slice(r, node));
+    FPART_ASSIGN_OR_RETURN(PartitionReport<T> s_run, split_slice(s, node));
+    result.partition_seconds =
+        std::max(result.partition_seconds, r_run.seconds + s_run.seconds);
+    r_split.push_back(std::move(r_run.output));
+    s_split.push_back(std::move(s_run.output));
   }
-  if (config.engine == Engine::kCpu) {
-    // Measure one representative node split for real.
-    auto [r_begin, r_count] = slice_bounds(r, 0);
-    Timer timer;
-    auto measured =
-        internal::SplitByNode(node_fn, r.data() + r_begin, r_count, nodes);
-    (void)measured;
-    worst_split = timer.Seconds() *
-                  (static_cast<double>(r.size() + s.size()) /
-                   std::max<size_t>(1, r_count));
-  }
-  result.partition_seconds = worst_split;
 
-  // --- Phase 2: all-to-all shuffle.
+  // --- Phase 2: all-to-all shuffle; source i ships its partition j to j.
   std::vector<std::vector<uint64_t>> flows(nodes,
                                            std::vector<uint64_t>(nodes, 0));
   for (size_t i = 0; i < nodes; ++i) {
     for (size_t j = 0; j < nodes; ++j) {
-      flows[i][j] = (r_split[i][j].size() + s_split[i][j].size()) * sizeof(T);
+      flows[i][j] = (r_split[i].part(j).num_tuples +
+                     s_split[i].part(j).num_tuples) *
+                    sizeof(T);
     }
   }
   result.shuffle_seconds = config.network.ShuffleSeconds(flows);
 
-  // --- Phase 3: every node joins its received fragments. Parallel time =
-  // max over nodes; the fragments are joined for real, sequentially.
+  // --- Phase 3: every node joins the fragments it received. Parallel
+  // time = max over nodes; the fragments are joined for real, sequentially.
+  auto gather = [&](const std::vector<PartitionedOutput<T>>& split_out,
+                    size_t node) -> Result<Relation<T>> {
+    size_t total = 0;
+    for (const auto& out : split_out) total += out.part(node).num_tuples;
+    FPART_ASSIGN_OR_RETURN(Relation<T> local, Relation<T>::Allocate(total));
+    size_t pos = 0;
+    for (const auto& out : split_out) {
+      const T* data = out.partition_data(node);
+      for (size_t k = 0; k < out.partition_slots(node); ++k) {
+        if (!IsDummy(data[k])) local[pos++] = data[k];
+      }
+    }
+    return local;
+  };
   CpuJoinConfig local;
   local.fanout = config.local_fanout;
   local.hash = config.hash;
   local.num_threads = config.threads_per_node;
-  double worst_join = 0.0;
   for (size_t node = 0; node < nodes; ++node) {
-    size_t r_total = 0, s_total = 0;
-    for (size_t i = 0; i < nodes; ++i) {
-      r_total += r_split[i][node].size();
-      s_total += s_split[i][node].size();
-    }
-    FPART_ASSIGN_OR_RETURN(Relation<T> r_local,
-                           Relation<T>::Allocate(r_total));
-    FPART_ASSIGN_OR_RETURN(Relation<T> s_local,
-                           Relation<T>::Allocate(s_total));
-    size_t rp = 0, sp = 0;
-    for (size_t i = 0; i < nodes; ++i) {
-      for (const T& t : r_split[i][node]) r_local[rp++] = t;
-      for (const T& t : s_split[i][node]) s_local[sp++] = t;
-    }
-    if (r_total == 0 || s_total == 0) continue;
+    FPART_ASSIGN_OR_RETURN(Relation<T> r_local, gather(r_split, node));
+    FPART_ASSIGN_OR_RETURN(Relation<T> s_local, gather(s_split, node));
+    if (r_local.size() == 0 || s_local.size() == 0) continue;
     FPART_ASSIGN_OR_RETURN(JoinResult local_result,
                            CpuRadixJoin(local, r_local, s_local));
     result.matches += local_result.matches;
-    worst_join = std::max(worst_join, local_result.total_seconds);
+    result.local_join_seconds =
+        std::max(result.local_join_seconds, local_result.total_seconds);
   }
-  result.local_join_seconds = worst_join;
 
   result.total_seconds = result.partition_seconds + result.shuffle_seconds +
                          result.local_join_seconds;

@@ -13,15 +13,10 @@ Result<GroupByOutput> PartitionedGroupBy(const GroupByConfig& config,
   request.output_mode = config.output_mode;
   request.pad_fraction = config.pad_fraction;
   request.num_threads = config.num_threads;
-  Result<PartitionReport<Tuple8>> attempt = RunPartition(request, relation);
-  if (!attempt.ok() && attempt.status().IsPartitionOverflow()) {
-    // Skewed group keys overflowed a PAD partition; fall back to the
-    // two-pass HIST circuit, which handles any skew (Section 5.4).
-    request.output_mode = OutputMode::kHist;
-    attempt = RunPartition(request, relation);
-  }
-  if (!attempt.ok()) return attempt.status();
-  const PartitionReport<Tuple8> partitioned = std::move(*attempt);
+  // Skewed group keys can overflow a PAD partition.
+  FPART_ASSIGN_OR_RETURN(
+      const PartitionReport<Tuple8> partitioned,
+      RunPartitionWithFallback(request, relation.data(), relation.size()));
 
   const size_t num_threads = std::max<size_t>(1, config.num_threads);
   std::unique_ptr<ThreadPool> own_pool;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <unordered_set>
 #include <utility>
 
 #include "common/failpoint.h"
-#include "datagen/relation.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -237,14 +235,6 @@ Status StreamStore::DrainLocked() {
   std::vector<Tuple8> batch;
   batch.swap(buffer_);
 
-  auto rel_result = Relation<Tuple8>::Allocate(batch.size());
-  if (!rel_result.ok()) {
-    buffer_ = std::move(batch);  // keep the tuples; the caller may retry
-    return rel_result.status();
-  }
-  Relation<Tuple8> rel = std::move(rel_result).ValueUnsafe();
-  std::memcpy(rel.data(), batch.data(), batch.size() * sizeof(Tuple8));
-
   // The drain *is* a partitioner run at the directory's fanout: with a
   // bit-slicing hash, output partition p lands in directory slot p.
   std::shared_lock<std::shared_mutex> dir_lock(dir_mu_);
@@ -254,9 +244,9 @@ Status StreamStore::DrainLocked() {
   req.hash = config_.hash;
   req.output_mode = OutputMode::kHist;  // exact sizes, no overflow risk
   req.sim_cache = config_.sim_cache;
-  auto run = RunPartition<Tuple8>(req, rel);
+  auto run = RunPartition(req, batch.data(), batch.size());
   if (!run.ok()) {
-    buffer_ = std::move(batch);
+    buffer_ = std::move(batch);  // keep the tuples; the caller may retry
     return run.status();
   }
   const auto& out = run.ValueOrDie().output;

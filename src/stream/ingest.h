@@ -84,9 +84,13 @@ struct ReadResult {
 /// Cache-line aligned, so the directory lock and counters written on
 /// every op never share a line with a neighbouring object, such as the
 /// svc::Scheduler a caller keeps next to the store on its stack.
-/// Unaligned, an 8-byte change in the store's size moved the op p50
+/// Unaligned, a change that added 8 bytes to the store moved the op p50
 /// latency of bench/e2e's stream_drift workload by a third (4-vCPU KVM
-/// host, 8 of 8 interleaved pairs).
+/// host, 8 of 8 interleaved pairs). That change also moved the code
+/// before Read(), and a move of the same size has since been reproduced
+/// from code placement alone (Read's scan loop crossing a 64-byte line;
+/// EXPERIMENTS.md, "Deleting the autoscaler"). Which of the two causes
+/// this alignment fixed is unverified.
 class alignas(64) StreamStore {
  public:
   /// One hash bucket. Exposed (rather than pimpl'd) because Staged

@@ -1,6 +1,8 @@
 // Tests of the distributed join (the Section 6 / Barthels [6,7] scenario).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/fpart.h"
 
 namespace fpart {
@@ -90,6 +92,76 @@ TEST(DistributedJoinTest, FpgaPartitioningPhaseScalesDownWithNodes) {
   ASSERT_TRUE(two.ok());
   ASSERT_TRUE(eight.ok());
   EXPECT_NEAR(two->partition_seconds / eight->partition_seconds, 4.0, 0.5);
+}
+
+TEST(DistributedJoinTest, FpgaSplitTimeIsTheSimulatedRun) {
+  // The split phase is the slowest node's simulated R + S partitioning
+  // run, not a closed-form model value.
+  auto input = GenerateWorkload(GetWorkloadSpec(WorkloadId::kA, 2e-4), 19);
+  ASSERT_TRUE(input.ok());
+  DistributedJoinConfig config;
+  config.num_nodes = 4;
+  config.local_fanout = 64;
+  auto result = DistributedJoin(config, input->r, input->s);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  PartitionRequest split;
+  split.engine = Engine::kFpgaSim;
+  split.fanout = 4;
+  split.hash = config.hash;
+  split.output_mode = OutputMode::kPad;
+  auto slice_seconds = [&](const Relation<Tuple8>& rel, size_t node) {
+    const size_t begin = rel.size() * node / 4;
+    const size_t end = rel.size() * (node + 1) / 4;
+    auto run =
+        RunPartitionWithFallback(split, rel.data() + begin, end - begin);
+    EXPECT_TRUE(run.ok());
+    return run.ok() ? run->seconds : 0.0;
+  };
+  double worst = 0.0;
+  for (size_t node = 0; node < 4; ++node) {
+    worst = std::max(worst, slice_seconds(input->r, node) +
+                                slice_seconds(input->s, node));
+  }
+  EXPECT_DOUBLE_EQ(result->partition_seconds, worst);
+}
+
+TEST(DistributedJoinTest, CpuEngineJoinsExactly) {
+  auto input = GenerateWorkload(GetWorkloadSpec(WorkloadId::kA, 2e-4), 23);
+  ASSERT_TRUE(input.ok());
+  DistributedJoinConfig config;
+  config.num_nodes = 4;
+  config.local_fanout = 64;
+  config.engine = Engine::kCpu;
+  auto result = DistributedJoin(config, input->r, input->s);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->matches, input->s.size());
+  EXPECT_GT(result->partition_seconds, 0.0);
+}
+
+TEST(DistributedJoinTest, SkewedSliceFallsBackToHist) {
+  // Every S tuple carries R's first key, so each node's S slice lands in
+  // one destination partition and overflows PAD; the split must retry in
+  // HIST mode and still find every match.
+  auto input = GenerateWorkload(GetWorkloadSpec(WorkloadId::kA, 1e-4), 29);
+  ASSERT_TRUE(input.ok());
+  for (size_t i = 0; i < input->s.size(); ++i) {
+    input->s[i].key = input->r[0].key;
+  }
+  PartitionRequest pad;
+  pad.fanout = 2;
+  pad.output_mode = OutputMode::kPad;
+  auto overflow = RunPartition(pad, input->s.data(), input->s.size() / 2);
+  ASSERT_FALSE(overflow.ok());
+  ASSERT_TRUE(overflow.status().IsPartitionOverflow());
+
+  DistributedJoinConfig config;
+  config.num_nodes = 2;
+  config.local_fanout = 64;
+  config.engine = Engine::kFpgaSim;
+  auto result = DistributedJoin(config, input->r, input->s);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->matches, input->s.size());
 }
 
 }  // namespace

@@ -37,6 +37,10 @@ TEST(EngineTest, PadOverflowSurfacesThroughApi) {
   auto report = RunPartition(request, *rel);
   ASSERT_FALSE(report.ok());
   EXPECT_TRUE(report.status().IsPartitionOverflow());
+  // The Section 5.4 fallback retries the same input in HIST mode.
+  auto fallback = RunPartitionWithFallback(request, rel->data(), rel->size());
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->output.total_tuples(), rel->size());
 }
 
 TEST(EngineTest, SimulatorIsDeterministic) {
